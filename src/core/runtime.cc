@@ -7,8 +7,6 @@
 namespace tsvd {
 
 std::atomic<Runtime*> Runtime::current_{nullptr};
-thread_local Runtime* Runtime::internal_tls_runtime = nullptr;
-thread_local bool Runtime::internal_tls_bound = false;
 
 Runtime::Runtime(const Config& config, std::unique_ptr<Detector> detector)
     : config_(config),

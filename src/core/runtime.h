@@ -180,10 +180,13 @@ class Runtime {
 
   static std::atomic<Runtime*> current_;
 
-  // Thread-binding storage (public-access names avoided via internal_ prefix; kept in
-  // the class's file for locality, defined inline so the header stays self-contained).
-  static thread_local Runtime* internal_tls_runtime;
-  static thread_local bool internal_tls_bound;
+  // Thread-binding storage (public-access names avoided via internal_ prefix).
+  // Inline with constant initializers: every TU sees that they need no dynamic
+  // initialization, so reads compile to a plain TLS access instead of a call through
+  // the TLS init wrapper (whose undefined-weak-symbol check UBSan misreports as a
+  // null bool load).
+  static inline thread_local Runtime* internal_tls_runtime = nullptr;
+  static inline thread_local bool internal_tls_bound = false;
 };
 
 }  // namespace tsvd

@@ -23,22 +23,28 @@ bool TrapSet::AddPair(OpId a, OpId b) {
   }
   const LocationPair pair(a, b);
   const uint64_t enc = EncodePair(pair);
-  PairCache& cache = pair_caches_.Get(CurrentThreadId());
+  PairCacheEntry& entry =
+      PairCacheFor(CurrentThreadId()).entries[Mix64(enc) & (kPairCacheSlots - 1)];
   const uint64_t epoch = removal_epoch_.load(std::memory_order_acquire);
-  if (cache.epoch != epoch) {
-    cache.epoch = epoch;
-    std::fill(std::begin(cache.entries), std::end(cache.entries), uint64_t{0});
-  }
-  const size_t slot = Mix64(enc) & (kPairCacheSlots - 1);
-  if (cache.entries[slot] == enc) {
+  if (entry.pair == enc && entry.epoch == epoch) {
     return false;  // known no-op for this epoch: present, HB-pruned, or caught
   }
   std::lock_guard<std::mutex> lock(mu_);
   const bool added = AddPairLocked(pair);
   // Whether freshly added or already known, the pair is now a member (or permanently
-  // blocked): further AddPair calls are no-ops until a removal bumps the epoch.
-  cache.entries[slot] = enc;
+  // blocked): further AddPair calls are no-ops until a removal bumps the epoch. Tag
+  // the entry with the epoch read before the lock: a removal since then leaves the
+  // entry stale, which costs one extra lock trip, never a missed re-add.
+  entry = PairCacheEntry{enc, epoch};
   return added;
+}
+
+TrapSet::PairCache& TrapSet::PairCacheFor(ThreadId tid) {
+  std::unique_ptr<PairCache>& cache = pair_caches_.Get(tid);
+  if (cache == nullptr) {
+    cache = std::make_unique<PairCache>();
+  }
+  return *cache;
 }
 
 bool TrapSet::AddPairLocked(const LocationPair& pair) {

@@ -6,13 +6,15 @@
 // a pair, or when decay drives a location's probability to zero.
 //
 // Hot-path design: AddPair is attempted for every near miss, and in a hot loop the
-// same few pairs recur thousands of times — each attempt a no-op that still contended
-// the global mutex. Each thread now keeps a small direct-mapped cache of pairs whose
-// AddPair is known to be a no-op (already present, HB-pruned, or already caught);
-// cache hits return without the lock. Any pair removal bumps a global epoch which
-// invalidates every thread's cache wholesale — removals are rare (decay, HB pruning,
-// caught bugs), so the conservative flush costs nothing while guaranteeing a removed
-// pair can always be re-added.
+// same few dozen pairs recur thousands of times — each attempt a no-op that would
+// still contend the global mutex. Each thread keeps a direct-mapped cache of pairs
+// whose AddPair is known to be a no-op (already present, HB-pruned, or already
+// caught); cache hits return without the lock. Any pair removal bumps a global
+// epoch, and every cache entry carries the epoch it was filled under: an entry from
+// an older epoch simply misses, so a removed pair can always be re-added, and an
+// epoch change costs nothing up front. Removals are rare (decay, HB pruning, caught
+// bugs). A thread's cache is allocated on its first AddPair, so a run pays only for
+// the threads that find near misses.
 #ifndef SRC_CORE_TRAP_SET_H_
 #define SRC_CORE_TRAP_SET_H_
 
@@ -81,16 +83,18 @@ class TrapSet {
   void RemovePairLocked(const LocationPair& pair);
   void SetProbLocked(OpId op, double p);
 
-  // Per-thread direct-mapped cache of pair encodings whose AddPair is a no-op.
-  // Entries store EncodePair(pair) + 1 so 0 doubles as "empty"; `epoch` snapshots
-  // removal_epoch_ at fill time and a mismatch discards the whole cache.
-  // Line-aligned: dense ThreadIds put neighboring threads' caches adjacent, and a
-  // cache spilling into a neighbor's line would turn every fill into cross-core
-  // invalidation traffic on the near-miss path.
-  static constexpr size_t kPairCacheSlots = 32;
-  struct alignas(kCacheLineSize) PairCache {
+  // Per-thread direct-mapped cache of pair encodings whose AddPair is a no-op. An
+  // entry stores EncodePair(pair) + 1, so 0 doubles as "empty", and the value of
+  // removal_epoch_ it was filled under; it hits only if both still match. 512 slots
+  // keep a few hundred live pairs from evicting each other. Line-aligned: caches of
+  // different threads must never share a line.
+  static constexpr size_t kPairCacheSlots = 512;
+  struct PairCacheEntry {
+    uint64_t pair = 0;
     uint64_t epoch = 0;
-    uint64_t entries[kPairCacheSlots] = {};
+  };
+  struct alignas(kCacheLineSize) PairCache {
+    PairCacheEntry entries[kPairCacheSlots];
   };
   static_assert(sizeof(PairCache) % kCacheLineSize == 0 &&
                     alignof(PairCache) == kCacheLineSize,
@@ -98,6 +102,7 @@ class TrapSet {
   static uint64_t EncodePair(const LocationPair& pair) {
     return ((static_cast<uint64_t>(pair.first) << 32) | pair.second) + 1;
   }
+  PairCache& PairCacheFor(ThreadId tid);
 
   mutable std::mutex mu_;
   double decay_factor_;
@@ -108,10 +113,11 @@ class TrapSet {
   std::unordered_set<LocationPair, LocationPairHash> found_;
   std::unordered_map<OpId, std::vector<OpId>> partners_;
 
-  // Bumped (under mu_) whenever a pair leaves pairs_; readers treat a changed value
-  // as "all cached no-op conclusions are suspect".
+  // Bumped (under mu_) whenever a pair leaves pairs_; a cache entry filled under an
+  // older value is no longer trusted.
   std::atomic<uint64_t> removal_epoch_{0};
-  PerThread<PairCache> pair_caches_;
+  // One pointer per thread slot; the owning thread allocates its cache lazily.
+  PerThread<std::unique_ptr<PairCache>> pair_caches_;
 
   // Dense probability table indexed by OpId; reads are lock-free, writes happen under
   // mu_. 64K call sites is far beyond anything a single test process produces.

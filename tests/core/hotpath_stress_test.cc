@@ -1,17 +1,21 @@
 // Multi-thread stress tests for the lock-light OnCall hot paths.
 //
 // The fast paths (TrapRegistry's armed-count skip, PhaseDetector's per-shard
-// rings + epoch aggregation, TrapSet's per-thread pair cache, ShardedCounter) trade
-// locks for relaxed/acq-rel atomics; these tests pin down the guarantees that must
-// survive that trade and are run under ThreadSanitizer by the tsan-delay-engine CI
-// job.
+// rings + epoch aggregation, TrapSet's per-thread pair cache, the near-miss
+// tracker's packed histories behind word locks, ShardedCounter) trade locks for
+// relaxed/acq-rel atomics or smaller locks; these tests pin down the guarantees that
+// must survive that trade and are run under ThreadSanitizer by the tsan-delay-engine
+// CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
+#include "src/common/per_thread.h"
 #include "src/common/sharded_counter.h"
+#include "src/core/nearmiss_tracker.h"
 #include "src/core/phase_detector.h"
 #include "src/core/trap_registry.h"
 #include "src/core/trap_set.h"
@@ -228,6 +232,83 @@ TEST(HotPathStressTest, AddPairStressCountsEachPairOnce) {
   }
   EXPECT_EQ(set.PairCount(), static_cast<uint64_t>(kDistinct));
   EXPECT_EQ(genuine.load(), kDistinct);
+}
+
+// A recorded access's tid and flags share one word; the largest thread id the
+// runtime can hand out (PerThread's capacity bounds it) and the largest the packing
+// keeps must both survive with either flag bit set.
+TEST(HotPathStressTest, NearMissRecordPackingRoundTrips) {
+  using Record = NearMissTracker::Record;
+  const ThreadId largest_runtime_tid =
+      static_cast<ThreadId>(PerThread<int>::kDefaultCapacity - 1);
+  for (const ThreadId tid : {ThreadId{1}, largest_runtime_tid, Record::kMaxTid}) {
+    for (const OpKind kind : {OpKind::kRead, OpKind::kWrite}) {
+      for (const bool concurrent : {false, true}) {
+        const Record rec{0, 0, Record::Pack(tid, kind, concurrent)};
+        EXPECT_EQ(rec.tid(), tid);
+        EXPECT_EQ(rec.kind(), kind);
+        EXPECT_EQ(rec.concurrent(), concurrent);
+      }
+    }
+  }
+}
+
+// Many threads recording into a few shared objects, each op id encoding its
+// caller's tid and kind: whatever the interleaving, no reported conflict names the
+// caller's own thread or pairs two reads, and no call reports more conflicts than
+// the history holds.
+TEST(HotPathStressTest, NearMissOnSharedObjectsReportsOnlyCrossThreadConflicts) {
+  constexpr int kThreads = 6;
+  constexpr int kObjects = 8;
+  constexpr int kCalls = 20'000;
+  Config cfg;
+  cfg.nearmiss_window_us = 1'000'000;  // every recorded access stays in the window
+  NearMissTracker tracker(cfg);
+  auto encode = [](int tid, OpKind kind, int seq) {
+    return static_cast<OpId>((tid << 8) | (kind == OpKind::kWrite ? 0x80 : 0) |
+                             (seq & 0x7f));
+  };
+  std::atomic<uint64_t> conflicts{0};
+  std::atomic<int> bad_self{0};
+  std::atomic<int> bad_read_read{0};
+  std::atomic<int> over_history{0};
+  std::vector<std::thread> threads;
+  for (int t = 1; t <= kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t local = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        Access a = MakeAccess(static_cast<ThreadId>(t),
+                              0x7f0000001000ULL + 64 * ((i * 7 + t) % kObjects), 0,
+                              (i + t) % 3 == 0 ? OpKind::kWrite : OpKind::kRead);
+        a.op = encode(t, a.kind, i);
+        a.time = NowMicros();
+        a.concurrent_phase = (i & 1) != 0;
+        NearMissTracker::ConflictBuffer out;
+        tracker.RecordAndFindConflicts(a, out);
+        if (static_cast<int>(out.size()) > cfg.nearmiss_history) {
+          over_history.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (const NearMissTracker::NearMiss& miss : out) {
+          if (static_cast<int>(miss.other_op >> 8) == t) {
+            bad_self.fetch_add(1, std::memory_order_relaxed);
+          }
+          if ((miss.other_op & 0x80) == 0 && a.kind == OpKind::kRead) {
+            bad_read_read.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        local += out.size();
+      }
+      conflicts.fetch_add(local, std::memory_order_relaxed);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(bad_self.load(), 0);
+  EXPECT_EQ(bad_read_read.load(), 0);
+  EXPECT_EQ(over_history.load(), 0);
+  EXPECT_GT(conflicts.load(), 0u) << "no thread ever saw another: the test is vacuous";
+  EXPECT_EQ(tracker.TrackedObjects(), static_cast<size_t>(kObjects));
 }
 
 TEST(HotPathStressTest, ShardedCounterAggregatesAcrossThreads) {

@@ -217,5 +217,31 @@ TEST(NearMissTest, RingBufferEvictionWrapsRepeatedly) {
   EXPECT_EQ(misses[2].other_op, 63u);
 }
 
+// A thread's MRU way can outlive the block it names: the sweep retires a stale
+// object's block and a new object in the same shard reuses it. The owner check
+// must send the thread back to the shard, so it never reads the new owner's
+// history as its own object's.
+TEST(NearMissTest, SweptBlockReusedByAnotherObjectIsNotMistakenForTheOld) {
+  NearMissTracker tracker(NearMissConfig(100, /*history=*/1));
+  const ObjectId stale = 0x100000;
+  // Thread 1's way now names `stale`'s block.
+  tracker.RecordAndFindConflicts(At(1, stale, 1, OpKind::kWrite, 0));
+  // Thread 2 (another way) creates enough fresh objects in the same one of the
+  // tracker's 64 shards to trigger its sweep, which retires only `stale`; a later
+  // object takes over the retired block.
+  int created = 0;
+  for (ObjectId obj = stale + 1024; created < 4100; obj += 1024) {
+    if (Mix64(obj) % 64 == Mix64(stale) % 64) {
+      tracker.RecordAndFindConflicts(At(2, obj, 2, OpKind::kWrite, 10'000));
+      ++created;
+    }
+  }
+  EXPECT_EQ(tracker.TrackedObjects(), 4100u);
+  // Had thread 1 trusted its way, it would see thread 2's write to the new owner.
+  EXPECT_TRUE(
+      tracker.RecordAndFindConflicts(At(1, stale, 3, OpKind::kWrite, 10'001)).empty());
+  EXPECT_EQ(tracker.TrackedObjects(), 4101u);
+}
+
 }  // namespace
 }  // namespace tsvd

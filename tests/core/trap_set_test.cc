@@ -132,5 +132,41 @@ TEST(TrapSetTest, PartnersTracksAllPairsOfALocation) {
   EXPECT_EQ(traps.PartnersOf(2).size(), 1u);
 }
 
+// A working set far larger than a handful of cache slots: every pair is added
+// exactly once no matter how often it recurs, and later passes are all no-ops.
+TEST(TrapSetTest, LargeWorkingSetCountsEachPairOnce) {
+  TrapSet traps(SetConfig(0.0));
+  constexpr int kPairs = 200;
+  int genuine = 0;
+  for (int pass = 0; pass < 20; ++pass) {
+    for (int i = 0; i < kPairs; ++i) {
+      if (traps.AddPair(static_cast<OpId>(1 + i), static_cast<OpId>(1000 + 7 * i))) {
+        ++genuine;
+        EXPECT_EQ(pass, 0) << "pair " << i << " re-added";
+      }
+    }
+  }
+  EXPECT_EQ(genuine, kPairs);
+  EXPECT_EQ(traps.PairCount(), static_cast<uint64_t>(kPairs));
+}
+
+// The no-op cache tags each entry with the removal epoch it was filled under. A
+// pair cached by this thread and then removed by decay must be re-addable after the
+// epoch bump, and again after a second removal, while an untouched cached pair
+// stays a no-op.
+TEST(TrapSetTest, CachedPairRemovedByDecayIsReaddedAfterEpochBump) {
+  TrapSet traps(SetConfig(0.9, 0.2));  // one failed delay kills a fresh pair
+  ASSERT_TRUE(traps.AddPair(5, 6));
+  ASSERT_TRUE(traps.AddPair(1, 2));
+  for (int removal = 0; removal < 3; ++removal) {
+    ASSERT_FALSE(traps.AddPair(1, 2));  // cached as a no-op under the current epoch
+    traps.DecayAfterFailedDelay(1);     // removes (1,2), bumps the epoch
+    EXPECT_EQ(traps.PairCount(), 1u);
+    EXPECT_TRUE(traps.AddPair(1, 2)) << "removal " << removal;
+    EXPECT_FALSE(traps.AddPair(5, 6));  // never removed: still a no-op
+    EXPECT_EQ(traps.PairCount(), 2u);
+  }
+}
+
 }  // namespace
 }  // namespace tsvd
