@@ -11,14 +11,6 @@ namespace {
 
 using campaign::Json;
 
-// splitmix64: tiny, stateless-step, and good enough to decorrelate fault draws.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 bool ParseProbability(const std::string& value, double* out) {
   char* end = nullptr;
   const double p = std::strtod(value.c_str(), &end);
@@ -130,23 +122,13 @@ ChaosClient::ChaosClient(std::unique_ptr<TransportClient> inner, ChaosSpec spec,
                          uint64_t seed_salt)
     : inner_(std::move(inner)),
       spec_(spec),
-      rng_state_(spec.seed ^ (seed_salt * 0x9e3779b97f4a7c15ull)) {}
+      rng_(spec.seed ^ (seed_salt * 0x9e3779b97f4a7c15ull)) {}
 
 void ChaosClient::set_connect_timeout_ms(int ms) {
   inner_->set_connect_timeout_ms(ms);
 }
 
 ChaosStats ChaosClient::stats() const { return stats_; }
-
-uint64_t ChaosClient::NextRandom() { return SplitMix64(&rng_state_); }
-
-bool ChaosClient::Flip(double probability) {
-  if (probability <= 0.0) {
-    NextRandom();  // keep the draw sequence fixed regardless of the spec
-    return false;
-  }
-  return static_cast<double>(NextRandom() >> 11) * 0x1.0p-53 < probability;
-}
 
 bool ChaosClient::InPartition(PartitionDir direction) const {
   if (spec_.partition_after_ms < 0 || spec_.partition_ms <= 0) {
@@ -175,13 +157,13 @@ bool ChaosClient::Call(const Json& request, Json* response, std::string* error) 
 
   // Draw every fault decision up front, in a fixed order, so the schedule is a
   // pure function of (seed, call index) — outcomes of earlier faults cannot
-  // shift later draws.
-  const uint64_t send_delay_draw = NextRandom();
-  const bool truncate = Flip(spec_.trunc);
-  const bool drop_send = Flip(spec_.drop_send);
-  const bool duplicate = Flip(spec_.dup);
-  const uint64_t recv_delay_draw = NextRandom();
-  const bool drop_recv = Flip(spec_.drop_recv);
+  // shift later draws, and a zero probability still consumes its draw.
+  const uint64_t send_delay_draw = rng_.Next();
+  const bool truncate = rng_.NextBool(spec_.trunc);
+  const bool drop_send = rng_.NextBool(spec_.drop_send);
+  const bool duplicate = rng_.NextBool(spec_.dup);
+  const uint64_t recv_delay_draw = rng_.Next();
+  const bool drop_recv = rng_.NextBool(spec_.drop_recv);
 
   if (spec_.delay_ms > 0) {
     ++stats_.delayed;

@@ -50,6 +50,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/rng.h"
 #include "src/fleet/transport.h"
 
 namespace tsvd::fleet {
@@ -100,12 +101,10 @@ class ChaosClient : public TransportClient {
 
  private:
   bool InPartition(PartitionDir direction) const;
-  uint64_t NextRandom();
-  bool Flip(double probability);
 
   const std::unique_ptr<TransportClient> inner_;
   const ChaosSpec spec_;
-  uint64_t rng_state_;
+  Rng rng_;
   int64_t epoch_us_ = 0;  // first-use timestamp; partition windows are relative
   ChaosStats stats_;
 };

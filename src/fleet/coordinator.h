@@ -21,7 +21,6 @@
 #ifndef SRC_FLEET_COORDINATOR_H_
 #define SRC_FLEET_COORDINATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,8 +31,8 @@
 #include <mutex>
 
 #include "src/campaign/campaign.h"
-#include "src/campaign/journal.h"
 #include "src/campaign/json.h"
+#include "src/campaign/ledger.h"
 #include "src/fleet/federation.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/trap_store.h"
@@ -47,7 +46,7 @@ struct FleetOptions {
   // `journal_snapshot_every`, and `interrupt` keep their single-process meaning,
   // applied at the coordinator.
   campaign::CampaignOptions campaign;
-  std::string address;  // transport endpoint ("uds:" | "dir:" | "tcp:")
+  std::string address;  // transport endpoint ("uds:" | "tcp:")
   // A leased job not published within this window is considered lost (agent
   // SIGKILLed, wedged, or partitioned) and becomes stealable by any agent.
   int lease_timeout_ms = 30'000;
@@ -135,12 +134,6 @@ class FleetCoordinator {
   campaign::Json HandleResult(const campaign::Json& request);
   campaign::Json HandleHeartbeat(const campaign::Json& request);
 
-  // Errno-directed storage degradation (DESIGN.md §15), mirroring the
-  // single-process campaign: ENOSPC arms storage_drain_ (graceful drain +
-  // disk_full result), anything else arms journal_lost_ (journal-less degraded
-  // mode, reports stamped "durability": "degraded").
-  void ApplyStorageErrno(int err);
-
   // Marks agents silent past heartbeat_timeout_ms as evicted and zeroes the
   // lease deadlines they hold. Returns the newly evicted names so the caller
   // can journal them outside the lock. Requires mu_.
@@ -153,7 +146,10 @@ class FleetCoordinator {
   std::unique_ptr<TransportServer> server_;
   std::unique_ptr<StoreFederator> federator_;
   TrapStoreService store_;
-  campaign::CampaignJournal journal_;
+  // The journal, resume replay, round commit and reports (campaign/ledger.h).
+  // Created by Run(); once serving starts it lives until destruction, since a
+  // drained round's straggler may still publish after Run() returned.
+  std::unique_ptr<campaign::CampaignLedger> ledger_;
 
   mutable std::mutex mu_;
   std::condition_variable round_cv_;  // Run() waits for the round's last outcome
@@ -167,10 +163,8 @@ class FleetCoordinator {
   std::map<uint64_t, OpenLease> open_leases_;  // lease id -> holder + slot
   std::map<std::string, AgentInfo> agents_;
   Micros last_contact_us_ = 0;
-  std::atomic<bool> storage_drain_{false};  // ENOSPC: drain like a signal
-  std::atomic<bool> journal_lost_{false};   // EIO: journal-less degraded mode
   FleetStats stats_;
-  std::vector<std::string> corpus_names_;  // for backfilling outcome.module
+  std::vector<workload::ModuleSpec> corpus_;
 };
 
 }  // namespace tsvd::fleet

@@ -1,25 +1,22 @@
 #include "src/fleet/transport.h"
 
+#include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/fleet/transport_tcp.h"
 #include "src/fleet/wire.h"
-#include "src/io/vfs.h"
 
 namespace tsvd::fleet {
 namespace {
@@ -27,69 +24,227 @@ namespace {
 using campaign::Json;
 
 constexpr char kUdsScheme[] = "uds:";
-constexpr char kDirScheme[] = "dir:";
 constexpr char kTcpScheme[] = "tcp:";
 
 bool HasScheme(const std::string& address, const char* scheme) {
   return address.rfind(scheme, 0) == 0;
 }
 
-// ---------------------------------------------------------------------------
-// Unix-domain-socket backend: newline-delimited compact JSON over a stream
-// socket, one service thread per connection. Byte movement shares the
-// EINTR-safe loops in wire.h with the TCP backend.
-// ---------------------------------------------------------------------------
-
-bool SendAll(int fd, const std::string& data) {
-  return wire::SendAll(fd, data.data(), data.size());
+std::string Errno(const std::string& what) {
+  return what + ": " + std::strerror(errno);
 }
 
-// Reads from `fd` into `buffer` until it holds a full '\n'-terminated line;
-// extracts that line (newline stripped) into `line`. False on EOF/error.
-bool ReadLine(int fd, std::string* buffer, std::string* line) {
-  while (true) {
-    const size_t pos = buffer->find('\n');
-    if (pos != std::string::npos) {
-      line->assign(*buffer, 0, pos);
-      buffer->erase(0, pos + 1);
-      return true;
+// A parsed stream-socket endpoint: an AF_UNIX path, or a TCP host and port.
+struct SocketAddress {
+  bool unix_domain = false;
+  std::string path;  // uds:
+  std::string host;  // tcp: empty = wildcard (server) / 127.0.0.1 (client)
+  std::string port;
+  int backlog = 128;
+  std::string label;  // the endpoint as error texts name it
+};
+
+bool ParseUdsAddress(const std::string& path, SocketAddress* out,
+                     std::string* error) {
+  if (path.size() >= sizeof(sockaddr_un::sun_path)) {
+    *error = "socket path too long: " + path;
+    return false;
+  }
+  out->unix_domain = true;
+  out->path = path;
+  out->label = path;
+  return true;
+}
+
+// "<host>:<port>[?backlog=N]". The host may be a name, an IPv4 literal, or a
+// bracketed IPv6 literal ("[::1]:7777"); the port is split at the *last* colon
+// so unbracketed IPv6 literals fail loudly instead of mis-parsing.
+bool ParseTcpAddress(const std::string& spec, SocketAddress* out,
+                     std::string* error) {
+  std::string rest = spec;
+  const size_t query = rest.find('?');
+  if (query != std::string::npos) {
+    const std::string params = rest.substr(query + 1);
+    rest.resize(query);
+    if (params.rfind("backlog=", 0) == 0) {
+      const long backlog = std::strtol(params.c_str() + 8, nullptr, 10);
+      if (backlog <= 0 || backlog > 65535) {
+        *error = "tcp address \"" + spec + "\": backlog must be in [1, 65535]";
+        return false;
+      }
+      out->backlog = static_cast<int>(backlog);
+    } else {
+      *error = "tcp address \"" + spec + "\": unknown parameter \"" + params +
+               "\" (want backlog=N)";
+      return false;
     }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) {
+  }
+  const size_t colon = rest.rfind(':');
+  if (colon == std::string::npos || colon + 1 == rest.size()) {
+    *error = "tcp address \"" + spec + "\": want host:port";
+    return false;
+  }
+  out->host = rest.substr(0, colon);
+  out->port = rest.substr(colon + 1);
+  if (out->host.size() >= 2 && out->host.front() == '[' &&
+      out->host.back() == ']') {
+    out->host = out->host.substr(1, out->host.size() - 2);  // [::1] -> ::1
+  }
+  for (const char c : out->port) {
+    if (c < '0' || c > '9') {
+      *error = "tcp address \"" + spec + "\": port \"" + out->port +
+               "\" is not a number";
+      return false;
+    }
+  }
+  out->label = "tcp:" + out->host + ":" + out->port;
+  return true;
+}
+
+bool ParseAddress(const std::string& address, SocketAddress* out,
+                  std::string* error) {
+  if (HasScheme(address, kUdsScheme)) {
+    return ParseUdsAddress(address.substr(sizeof(kUdsScheme) - 1), out, error);
+  }
+  if (HasScheme(address, kTcpScheme)) {
+    return ParseTcpAddress(address.substr(sizeof(kTcpScheme) - 1), out, error);
+  }
+  *error = "unknown transport scheme in \"" + address + "\" (want uds: or tcp:)";
+  return false;
+}
+
+sockaddr_un UnixSockaddr(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+// The protocol is small request/response exchanges; Nagle would serialize them
+// against delayed ACKs.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+// A listening socket for `address`, or -1 with `error` set. TCP resolves the
+// host (IPv4/IPv6/hostname; empty binds the wildcard) and sets SO_REUSEADDR so
+// coordinator restarts need not wait out TIME_WAIT; uds replaces a previous
+// server's stale endpoint.
+int Listen(const SocketAddress& address, std::string* error) {
+  if (address.unix_domain) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) {
+      *error = Errno("socket");
+      return -1;
+    }
+    ::unlink(address.path.c_str());
+    const sockaddr_un addr = UnixSockaddr(address.path);
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd, address.backlog) != 0) {
+      *error = Errno("bind/listen " + address.path);
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = AI_PASSIVE;
+  addrinfo* results = nullptr;
+  const int rc =
+      ::getaddrinfo(address.host.empty() ? nullptr : address.host.c_str(),
+                    address.port.c_str(), &hints, &results);
+  if (rc != 0) {
+    *error = "resolve " + address.host + ":" + address.port + ": " +
+             ::gai_strerror(rc);
+    return -1;
+  }
+  int listen_fd = -1;
+  std::string last_error = "no usable address";
+  for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
+    const int fd =
+        ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC, ai->ai_protocol);
+    if (fd < 0) {
+      last_error = Errno("socket");
       continue;
     }
-    if (n <= 0) {
-      return false;
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(fd, ai->ai_addr, ai->ai_addrlen) != 0 ||
+        ::listen(fd, address.backlog) != 0) {
+      last_error = Errno("bind/listen " + address.host + ":" + address.port);
+      ::close(fd);
+      continue;
     }
-    buffer->append(chunk, static_cast<size_t>(n));
+    listen_fd = fd;
+    break;
   }
+  ::freeaddrinfo(results);
+  if (listen_fd < 0) {
+    *error = last_error;
+  }
+  return listen_fd;
 }
 
-class UdsServer : public TransportServer {
+// One connection attempt; -1 with `cause` set (without the endpoint name).
+int ConnectOnce(const SocketAddress& address, std::string* cause) {
+  if (address.unix_domain) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) {
+      *cause = Errno("socket");
+      return -1;
+    }
+    const sockaddr_un addr = UnixSockaddr(address.path);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      *cause = std::strerror(errno);
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* results = nullptr;
+  const int rc =
+      ::getaddrinfo(address.host.empty() ? "127.0.0.1" : address.host.c_str(),
+                    address.port.c_str(), &hints, &results);
+  if (rc != 0) {
+    *cause = ::gai_strerror(rc);
+    return -1;
+  }
+  int connected = -1;
+  for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
+    const int fd =
+        ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC, ai->ai_protocol);
+    if (fd < 0) {
+      *cause = Errno("socket");
+      continue;
+    }
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
+      SetNoDelay(fd);
+      connected = fd;
+      break;
+    }
+    *cause = std::strerror(errno);
+    ::close(fd);
+  }
+  ::freeaddrinfo(results);
+  return connected;
+}
+
+// One listener, one service thread per accepted connection, length-prefixed
+// frames (wire.h) both ways.
+class SocketServer : public TransportServer {
  public:
-  explicit UdsServer(std::string path) : path_(std::move(path)) {}
-  ~UdsServer() override { Stop(); }
+  explicit SocketServer(SocketAddress address) : address_(std::move(address)) {}
+  ~SocketServer() override { Stop(); }
 
   bool Start(RequestHandler handler, std::string* error) override {
-    sockaddr_un addr{};
-    if (path_.size() >= sizeof(addr.sun_path)) {
-      *error = "socket path too long: " + path_;
-      return false;
-    }
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    listen_fd_ = Listen(address_, error);
     if (listen_fd_ < 0) {
-      *error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    ::unlink(path_.c_str());  // a previous server's stale endpoint
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 128) != 0) {
-      *error = "bind/listen " + path_ + ": " + std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
       return false;
     }
     handler_ = std::move(handler);
@@ -102,6 +257,7 @@ class UdsServer : public TransportServer {
       return;
     }
     stopping_.store(true, std::memory_order_relaxed);
+    // shutdown wakes a blocked accept on Linux; closing alone need not.
     ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable()) {
       accept_thread_.join();
@@ -121,7 +277,9 @@ class UdsServer : public TransportServer {
     }
     conn_threads_.clear();
     conn_fds_.clear();
-    ::unlink(path_.c_str());
+    if (address_.unix_domain) {
+      ::unlink(address_.path.c_str());
+    }
   }
 
  private:
@@ -129,10 +287,13 @@ class UdsServer : public TransportServer {
     while (!stopping_.load(std::memory_order_relaxed)) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
-        if (errno == EINTR) {
+        if (errno == EINTR || errno == ECONNABORTED) {
           continue;
         }
         break;  // shutdown (or a fatal accept error): stop serving
+      }
+      if (!address_.unix_domain) {
+        SetNoDelay(fd);
       }
       std::lock_guard<std::mutex> lock(mu_);
       conn_fds_.push_back(fd);
@@ -141,26 +302,30 @@ class UdsServer : public TransportServer {
   }
 
   void ServeConnection(int fd) {
-    std::string buffer, line;
-    while (!stopping_.load(std::memory_order_relaxed) &&
-           ReadLine(fd, &buffer, &line)) {
+    std::string payload;
+    while (!stopping_.load(std::memory_order_relaxed)) {
+      // A torn frame, an oversized length (garbage prefix), or any socket error
+      // closes this connection; other connections keep serving.
+      if (wire::RecvFrame(fd, &payload) != 1) {
+        break;
+      }
       Json request;
       Json response;
-      if (Json::Parse(line, &request)) {
+      if (Json::Parse(payload, &request)) {
         response = handler_(request);
       } else {
         response = Json::MakeObject();
         response.Set("type", "error");
         response.Set("error", "unparseable request");
       }
-      if (!SendAll(fd, response.Dump() + "\n")) {
+      if (!wire::SendFrame(fd, response.Dump())) {
         break;
       }
     }
     ::close(fd);
   }
 
-  const std::string path_;
+  const SocketAddress address_;
   RequestHandler handler_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
@@ -170,10 +335,10 @@ class UdsServer : public TransportServer {
   std::vector<std::thread> conn_threads_;
 };
 
-class UdsClient : public TransportClient {
+class SocketClient : public TransportClient {
  public:
-  explicit UdsClient(std::string path) : path_(std::move(path)) {}
-  ~UdsClient() override {
+  explicit SocketClient(SocketAddress address) : address_(std::move(address)) {}
+  ~SocketClient() override {
     if (fd_ >= 0) {
       ::close(fd_);
     }
@@ -185,20 +350,19 @@ class UdsClient : public TransportClient {
     if (fd_ < 0 && !Connect(error)) {
       return false;
     }
-    std::string line;
-    errno = 0;
-    if (!SendAll(fd_, request.Dump() + "\n") ||
-        !ReadLine(fd_, &buffer_, &line)) {
+    errno = 0;  // distinguish a clean peer close from a real socket error
+    std::string payload;
+    if (!wire::SendFrame(fd_, request.Dump()) ||
+        wire::RecvFrame(fd_, &payload) != 1) {
       const int err = errno;  // captured before close can overwrite it
       // Sever the exchange: the next Call reconnects from scratch.
       ::close(fd_);
       fd_ = -1;
-      buffer_.clear();
-      *error = "coordinator connection lost (" + path_ + "): " +
+      *error = "coordinator connection lost (" + address_.label + "): " +
                (err != 0 ? std::strerror(err) : "connection closed by peer");
       return false;
     }
-    if (!Json::Parse(line, response)) {
+    if (!Json::Parse(payload, response)) {
       *error = "unparseable response from coordinator";
       return false;
     }
@@ -207,280 +371,56 @@ class UdsClient : public TransportClient {
 
  private:
   bool Connect(std::string* error) {
-    sockaddr_un addr{};
-    if (path_.size() >= sizeof(addr.sun_path)) {
-      *error = "socket path too long: " + path_;
-      return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
     const Micros deadline =
         NowMicros() + static_cast<Micros>(connect_timeout_ms_) * 1000;
+    std::string cause;
     while (true) {
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      if (fd < 0) {
-        *error = std::string("socket: ") + std::strerror(errno);
-        return false;
-      }
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-        fd_ = fd;
+      fd_ = ConnectOnce(address_, &cause);
+      if (fd_ >= 0) {
         return true;
       }
-      ::close(fd);
       // The coordinator may simply not be listening yet (agents are often
-      // spawned first); retry until the deadline.
+      // spawned first, and across machines it may still be booting); retry
+      // until the deadline.
       if (NowMicros() >= deadline) {
-        *error = "connect " + path_ + ": " + std::strerror(errno);
+        *error = "connect " + address_.label + ": " + cause;
         return false;
       }
       SleepMicros(20'000);
     }
   }
 
-  const std::string path_;
+  const SocketAddress address_;
   int connect_timeout_ms_ = 10'000;
   int fd_ = -1;
-  std::string buffer_;
-};
-
-// ---------------------------------------------------------------------------
-// File-queue backend: requests are files renamed into <dir>/req/, responses into
-// <dir>/resp/, matched by name. Writers stage in <dir>/tmp/ (same filesystem) so
-// every publication is one atomic rename — a scan never sees a torn document.
-// ---------------------------------------------------------------------------
-
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-// Unique-per-call exchange names: "<pid>-<counter>". The counter is process-wide
-// so any number of clients in one process stay distinct.
-std::atomic<uint64_t> g_exchange_counter{0};
-
-// Idle-poll backoff for the dir backend: starts fast so a live exchange stays
-// responsive, doubles while nothing arrives so an idle queue does not spin the
-// CPU at a fixed interval, and resets the moment there is work.
-constexpr Micros kDirPollFloorUs = 500;
-constexpr Micros kDirPollCeilingUs = 20'000;
-
-Micros NextDirPollBackoff(Micros current) {
-  return current < kDirPollCeilingUs ? std::min(current * 2, kDirPollCeilingUs)
-                                     : kDirPollCeilingUs;
-}
-
-// One atomic publication: stage `content` at `staged`, rename to `final_path`.
-// Routed through the io::Vfs seam so storage chaos can fault the queue like any
-// other durable writer. Returns 0 or the failing errno (ENOSPC on a full disk —
-// callers back off rather than busy-retrying). Transport documents are
-// ephemeral, so no fsync: a crash loses at most one in-flight exchange, which
-// the RPC layer already treats as a timeout.
-int PublishDocument(const std::string& staged, const std::string& final_path,
-                    const std::string& content) {
-  io::Vfs* vfs = io::ActiveVfs();
-  int err = io::WriteFileThroughVfs(staged, content, /*durable=*/false);
-  if (err != 0) {
-    return err;
-  }
-  if ((err = vfs->Rename(staged, final_path)) != 0) {
-    vfs->Unlink(staged);
-    return err;
-  }
-  return 0;
-}
-
-class DirServer : public TransportServer {
- public:
-  explicit DirServer(std::string dir) : dir_(std::move(dir)) {}
-  ~DirServer() override { Stop(); }
-
-  bool Start(RequestHandler handler, std::string* error) override {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_ + "/req", ec);
-    std::filesystem::create_directories(dir_ + "/resp", ec);
-    std::filesystem::create_directories(dir_ + "/tmp", ec);
-    if (ec) {
-      *error = "cannot create queue directories under " + dir_ + ": " +
-               ec.message();
-      return false;
-    }
-    handler_ = std::move(handler);
-    running_ = true;
-    poll_thread_ = std::thread([this] { PollLoop(); });
-    return true;
-  }
-
-  void Stop() override {
-    if (!running_) {
-      return;
-    }
-    stopping_.store(true, std::memory_order_relaxed);
-    if (poll_thread_.joinable()) {
-      poll_thread_.join();
-    }
-    running_ = false;
-  }
-
- private:
-  void PollLoop() {
-    const std::string req_dir = dir_ + "/req";
-    Micros idle_backoff_us = kDirPollFloorUs;
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      bool served = false;
-      std::error_code ec;
-      for (const auto& entry :
-           std::filesystem::directory_iterator(req_dir, ec)) {
-        if (!entry.is_regular_file(ec)) {
-          continue;
-        }
-        const std::string name = entry.path().filename().string();
-        std::string text;
-        if (!ReadWholeFile(entry.path().string(), &text)) {
-          continue;
-        }
-        std::filesystem::remove(entry.path(), ec);
-        Json request;
-        Json response;
-        if (Json::Parse(text, &request)) {
-          response = handler_(request);
-        } else {
-          response = Json::MakeObject();
-          response.Set("type", "error");
-          response.Set("error", "unparseable request");
-        }
-        // Publish the response with the request's name via the same
-        // stage-then-rename dance the client used. On failure (e.g. ENOSPC)
-        // `served` stays false so the loop falls into the idle backoff below
-        // instead of busy-spinning against a full disk; the client sees a
-        // timeout and retries or reports.
-        const std::string staged = dir_ + "/tmp/resp-" + name;
-        if (PublishDocument(staged, dir_ + "/resp/" + name,
-                            response.Dump()) == 0) {
-          served = true;
-        }
-      }
-      if (served) {
-        idle_backoff_us = kDirPollFloorUs;
-      } else {
-        SleepMicros(idle_backoff_us);
-        idle_backoff_us = NextDirPollBackoff(idle_backoff_us);
-      }
-    }
-  }
-
-  const std::string dir_;
-  RequestHandler handler_;
-  bool running_ = false;
-  std::atomic<bool> stopping_{false};
-  std::thread poll_thread_;
-};
-
-class DirClient : public TransportClient {
- public:
-  explicit DirClient(std::string dir) : dir_(std::move(dir)) {}
-
-  void set_connect_timeout_ms(int ms) override { connect_timeout_ms_ = ms; }
-
-  bool Call(const Json& request, Json* response, std::string* error) override {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_ + "/req", ec);
-    std::filesystem::create_directories(dir_ + "/resp", ec);
-    std::filesystem::create_directories(dir_ + "/tmp", ec);
-    const std::string name =
-        std::to_string(static_cast<uint64_t>(::getpid())) + "-" +
-        std::to_string(g_exchange_counter.fetch_add(1, std::memory_order_relaxed));
-    const std::string staged = dir_ + "/tmp/req-" + name;
-    const Micros deadline =
-        NowMicros() + static_cast<Micros>(connect_timeout_ms_) * 1000;
-    // Publish with exponential backoff on ENOSPC: a full disk is usually a
-    // transient shared-queue condition (the server unlinks served requests), so
-    // retrying after a pause beats failing the exchange — but never retry
-    // other errors, and never past the deadline.
-    Micros backoff_us = kDirPollFloorUs;
-    for (;;) {
-      const int err = PublishDocument(staged, dir_ + "/req/" + name,
-                                      request.Dump());
-      if (err == 0) {
-        break;
-      }
-      if (err != ENOSPC || NowMicros() >= deadline) {
-        *error = "cannot publish request under " + dir_ + ": " +
-                 std::strerror(err);
-        return false;
-      }
-      SleepMicros(backoff_us);
-      backoff_us = NextDirPollBackoff(backoff_us);
-    }
-    // Await the response file with the same exponential idle backoff the server
-    // polls with. The server answers promptly once it is up, so the connect
-    // timeout doubles as the response deadline.
-    const std::string resp_path = dir_ + "/resp/" + name;
-    std::string text;
-    backoff_us = kDirPollFloorUs;
-    while (!ReadWholeFile(resp_path, &text)) {
-      if (NowMicros() >= deadline) {
-        *error = "no response from coordinator via " + dir_ + " after " +
-                 std::to_string(connect_timeout_ms_) + " ms";
-        return false;
-      }
-      SleepMicros(backoff_us);
-      backoff_us = NextDirPollBackoff(backoff_us);
-    }
-    std::filesystem::remove(resp_path, ec);
-    if (!Json::Parse(text, response)) {
-      *error = "unparseable response from coordinator";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  const std::string dir_;
-  int connect_timeout_ms_ = 10'000;
 };
 
 }  // namespace
 
 std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
                                                      std::string* error) {
-  if (HasScheme(address, kUdsScheme)) {
-    return std::make_unique<UdsServer>(address.substr(sizeof(kUdsScheme) - 1));
+  SocketAddress parsed;
+  std::string parse_error;
+  if (!ParseAddress(address, &parsed, &parse_error)) {
+    if (error != nullptr) {
+      *error = parse_error;
+    }
+    return nullptr;
   }
-  if (HasScheme(address, kDirScheme)) {
-    return std::make_unique<DirServer>(address.substr(sizeof(kDirScheme) - 1));
-  }
-  if (HasScheme(address, kTcpScheme)) {
-    return MakeTcpTransportServer(address.substr(sizeof(kTcpScheme) - 1), error);
-  }
-  if (error != nullptr) {
-    *error = "unknown transport scheme in \"" + address +
-             "\" (want uds:, dir:, or tcp:)";
-  }
-  return nullptr;
+  return std::make_unique<SocketServer>(std::move(parsed));
 }
 
 std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,
                                                      std::string* error) {
-  if (HasScheme(address, kUdsScheme)) {
-    return std::make_unique<UdsClient>(address.substr(sizeof(kUdsScheme) - 1));
+  SocketAddress parsed;
+  std::string parse_error;
+  if (!ParseAddress(address, &parsed, &parse_error)) {
+    if (error != nullptr) {
+      *error = parse_error;
+    }
+    return nullptr;
   }
-  if (HasScheme(address, kDirScheme)) {
-    return std::make_unique<DirClient>(address.substr(sizeof(kDirScheme) - 1));
-  }
-  if (HasScheme(address, kTcpScheme)) {
-    return MakeTcpTransportClient(address.substr(sizeof(kTcpScheme) - 1), error);
-  }
-  if (error != nullptr) {
-    *error = "unknown transport scheme in \"" + address +
-             "\" (want uds:, dir:, or tcp:)";
-  }
-  return nullptr;
+  return std::make_unique<SocketClient>(std::move(parsed));
 }
 
 }  // namespace tsvd::fleet

@@ -1,24 +1,26 @@
 // Fleet transport abstraction (DESIGN.md §13).
 //
 // The coordinator/agent protocol is pure request/response over JSON documents, so
-// the wire is abstracted behind two tiny interfaces and an address scheme.
-// Three backends ship today:
+// the wire is abstracted behind two tiny interfaces and an address scheme. One
+// stream-socket backend serves two address families:
 //
-//   "uds:<path>"  Unix-domain stream socket. One listener, one thread per accepted
-//                 connection, newline-delimited compact JSON (the campaign Json
-//                 model escapes control characters, so a document never contains a
-//                 raw newline). The low-latency backend; what tsvd_fleet defaults
-//                 to.
-//
-//   "dir:<path>"  File-based queue: requests are files atomically renamed into
-//                 <path>/req/, responses into <path>/resp/, matched by file name.
-//                 Survives on filesystems where sockets are unavailable (some
-//                 containers, network mounts) and leaves an inspectable on-disk
-//                 trace; higher latency (exponential-backoff polling).
+//   "uds:<path>"  Unix-domain socket — the low-latency local endpoint
+//                 tsvd_fleet defaults to.
 //
 //   "tcp:<host>:<port>[?backlog=N]"
-//                 TCP stream socket with length-prefixed frames — the backend
-//                 that leaves the machine (DESIGN.md §14, transport_tcp.h).
+//                 TCP — the endpoint that leaves the machine (DESIGN.md §14).
+//                 The host may be a name, an IPv4 literal, or a bracketed IPv6
+//                 literal; an empty host binds the wildcard address (server)
+//                 and means 127.0.0.1 (client). SO_REUSEADDR on the listener,
+//                 TCP_NODELAY on every connection.
+//
+// Both speak length-prefixed frames (wire.h): a 4-byte big-endian length, then
+// that many bytes of compact JSON. A truncated message is a detectable short
+// read, and the 64 MiB length guard turns a garbage prefix into a closed
+// connection instead of an allocation — before any hello or auth check runs.
+// The server runs one thread per accepted connection; a torn frame, a lying
+// length, or any socket error costs only that connection, and an unparseable
+// payload is answered with a framed {"type":"error"}.
 //
 // Clients retry connection establishment — agents may start before the coordinator
 // listens — but a Call on an established exchange fails rather than retries, so a
@@ -69,8 +71,8 @@ class TransportClient {
   virtual void set_connect_timeout_ms(int ms) = 0;
 };
 
-// Factories keyed by the address scheme ("uds:" | "dir:" | "tcp:"). Return null
-// with `error` set for an unknown scheme or an unusable address.
+// Factories keyed by the address scheme ("uds:" | "tcp:"). Return null with
+// `error` set for an unknown scheme or an unusable address.
 std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
                                                      std::string* error);
 std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,

@@ -1,16 +1,13 @@
-// Shared socket wire helpers for the stream transports (DESIGN.md §13–14).
+// Socket framing for the fleet transport (DESIGN.md §13–14), shared by the
+// uds: and tcp: address families.
 //
-// Both stream backends — uds: (newline-delimited JSON) and tcp: (length-prefixed
-// frames) — move bytes with the same two EINTR-safe loops. They live here so the
-// TCP backend reuses the exact loops the unix-socket backend has been proving
-// since PR 6 rather than reimplementing partial-write handling.
-//
-// The TCP frame format is deliberately dumb: a 4-byte big-endian payload length
+// The frame format is deliberately dumb: a 4-byte big-endian payload length
 // followed by that many bytes of compact JSON. Length-prefixed framing turns any
 // in-flight truncation into a detectable short read (the frame never parses as a
 // shorter valid document), and the length guard turns a garbage prefix — a port
 // scanner, an HTTP client, a corrupted length — into a clean connection close
-// instead of a multi-gigabyte allocation.
+// instead of a multi-gigabyte allocation. Bytes move through two EINTR-safe
+// loops.
 #ifndef SRC_FLEET_WIRE_H_
 #define SRC_FLEET_WIRE_H_
 
@@ -69,8 +66,7 @@ inline int RecvAll(int fd, void* data, size_t len) {
 }
 
 // One length-prefixed frame out. Length is big-endian so the wire format is
-// byte-order independent across machines — this is the backend that leaves the
-// machine.
+// byte-order independent across machines.
 inline bool SendFrame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFramePayload) {
     errno = EMSGSIZE;

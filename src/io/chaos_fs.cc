@@ -8,25 +8,10 @@
 #include <unistd.h>
 #endif
 
+#include "src/common/rng.h"
+
 namespace tsvd::io {
 namespace {
-
-// splitmix64, seeded per operation index: every draw sequence is derived from
-// (seed, salt, index) alone, never from a shared evolving stream, so the
-// schedule is replay-identical even under concurrent writers.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-bool FlipDraw(uint64_t draw, double probability) {
-  if (probability <= 0.0) {
-    return false;
-  }
-  return static_cast<double>(draw >> 11) * 0x1.0p-53 < probability;
-}
 
 bool ParseProbability(const std::string& value, double* out) {
   char* end = nullptr;
@@ -145,13 +130,15 @@ ChaosFs::Draws ChaosFs::DrawsFor(double pa, double pb, double pc) {
   Draws d;
   d.index = op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   stat_ops_.fetch_add(1, std::memory_order_relaxed);
-  // Seed a fresh stream from the op's own index; four draws in fixed order.
-  uint64_t state = spec_.seed ^ (salt_ * 0x9e3779b97f4a7c15ull) ^
-                   (d.index * 0xbf58476d1ce4e5b9ull);
-  d.flip_a = FlipDraw(SplitMix64(&state), pa);
-  d.flip_b = FlipDraw(SplitMix64(&state), pb);
-  d.flip_c = FlipDraw(SplitMix64(&state), pc);
-  d.fraction = SplitMix64(&state);
+  // Seed a fresh stream from the op's own index — never a shared evolving
+  // stream, so the schedule replays identically under concurrent writers —
+  // and take four draws in fixed order.
+  Rng rng(spec_.seed ^ (salt_ * 0x9e3779b97f4a7c15ull) ^
+          (d.index * 0xbf58476d1ce4e5b9ull));
+  d.flip_a = rng.NextBool(pa);
+  d.flip_b = rng.NextBool(pb);
+  d.flip_c = rng.NextBool(pc);
+  d.fraction = rng.Next();
   d.exempt = static_cast<int64_t>(d.index) <= spec_.after;
   d.crash = spec_.crash_at > 0 && static_cast<int64_t>(d.index) == spec_.crash_at;
   return d;

@@ -219,6 +219,42 @@ TEST(ChaosClientTest, DifferentSaltsDrawFromDistinctStreams) {
   EXPECT_NE(a.outcomes, b.outcomes);
 }
 
+// The first 32 fault decisions for one fixed (seed, salt), pinned as literals:
+// a change to the generator or to the per-call draw order fails here, where
+// comparing two runs of the same build cannot. One token per call: '.'
+// delivered, 'T' truncated, 'S' send dropped, 'R' response dropped; a trailing
+// 'd' marks a duplicated delivery.
+TEST(ChaosClientTest, FixedSeedAndSaltPinTheFirst32FaultDecisions) {
+  int deliveries = 0;
+  ChaosSpec spec;
+  spec.seed = 11;
+  spec.trunc = 0.1;
+  spec.drop_send = 0.15;
+  spec.dup = 0.25;
+  spec.drop_recv = 0.15;
+  ChaosClient chaos(std::make_unique<CountingClient>(&deliveries), spec,
+                    /*seed_salt=*/3);
+  std::string trace;
+  for (int i = 0; i < 32; ++i) {
+    const ChaosStats before = chaos.stats();
+    Json response;
+    std::string error;
+    chaos.Call(Json::MakeObject(), &response, &error);
+    const ChaosStats after = chaos.stats();
+    trace += after.truncated > before.truncated         ? "T"
+             : after.dropped_send > before.dropped_send ? "S"
+             : after.dropped_recv > before.dropped_recv ? "R"
+                                                        : ".";
+    if (after.duplicated > before.duplicated) {
+      trace += "d";
+    }
+    trace += " ";
+  }
+  EXPECT_EQ(trace,
+            ". T S .d T S R R . . . .d . T .d . Rd . . S .d S .d . . .d . T "
+            ".d . . S ");
+}
+
 TEST(WrapWithChaosTest, EmptySpecReturnsTheInnerClientUntouched) {
   int deliveries = 0;
   std::string error;

@@ -1,14 +1,15 @@
-// Transport conformance, run against every backend: request/response integrity,
-// concurrent clients, clients that start before the server listens (agents race
-// the coordinator), and clean Stop. The same suite binds to "uds:", "dir:", and
-// "tcp:" addresses, so every backend inherits the contract. TCP additionally
-// gets raw-socket framing-robustness tests (torn frames, lying length prefixes,
+// Transport conformance, run against both socket address families:
+// request/response integrity, concurrent clients, clients that start before the
+// server listens (agents race the coordinator), and clean Stop. The same suite
+// binds to "uds:" and "tcp:" addresses, so both inherit the contract, and so do
+// the raw-socket framing-robustness tests (torn frames, lying length prefixes,
 // garbage payloads) that the generic client interface cannot express.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -66,21 +67,25 @@ int ProbeFreeTcpPort() {
   return port;
 }
 
-class TransportTest : public testing::TestWithParam<const char*> {
+// Parameterized over the address family: "uds" or "tcp".
+class BackendTest : public testing::TestWithParam<const char*> {
  protected:
+  bool IsTcp() const { return std::string(GetParam()) == "tcp"; }
   std::string Address() const {
-    const std::string scheme = GetParam();
-    if (scheme == "tcp") {
+    if (IsTcp()) {
       if (port_ == 0) {
         port_ = ProbeFreeTcpPort();  // stable across calls within one test
       }
       return "tcp:127.0.0.1:" + std::to_string(port_);
     }
-    return scheme + ":" + dir_.path + "/endpoint";
+    return "uds:" + SocketPath();
   }
+  std::string SocketPath() const { return dir_.path + "/endpoint"; }
   ScopedTempDir dir_;
   mutable int port_ = 0;
 };
+
+using TransportTest = BackendTest;
 
 Json EchoHandler(const Json& request) {
   Json response = Json::MakeObject();
@@ -192,11 +197,12 @@ TEST_P(TransportTest, StopIsIdempotentAndCallAfterStopFails) {
   EXPECT_FALSE(error.empty());
 }
 
+std::string BackendName(const testing::TestParamInfo<const char*>& param) {
+  return param.param;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, TransportTest,
-                         testing::Values("uds", "dir", "tcp"),
-                         [](const testing::TestParamInfo<const char*>& param) {
-                           return std::string(param.param);
-                         });
+                         testing::Values("uds", "tcp"), BackendName);
 
 TEST(TransportFactoryTest, UnknownSchemeIsRejected) {
   std::string error;
@@ -225,15 +231,14 @@ TEST(TransportFactoryTest, MalformedTcpAddressesAreRejectedWithReasons) {
   }
 }
 
-// --- TCP-specific framing robustness -----------------------------------------
+// --- Framing robustness ------------------------------------------------------
 // These speak raw bytes at the listener, which the TransportClient interface
 // cannot do: a hostile or truncated byte stream must cost one connection, never
-// the server.
+// the server. Both address families share the framing, so both get the cases.
 
-class TcpFramingTest : public testing::Test {
+class FramingTest : public BackendTest {
  protected:
   void SetUp() override {
-    port_ = ProbeFreeTcpPort();
     std::string error;
     server_ = MakeTransportServer(Address(), &error);
     ASSERT_NE(server_, nullptr) << error;
@@ -241,17 +246,26 @@ class TcpFramingTest : public testing::Test {
   }
   void TearDown() override { server_->Stop(); }
 
-  std::string Address() const { return "tcp:127.0.0.1:" + std::to_string(port_); }
-
   int RawConnect() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port_));
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-        << std::strerror(errno);
+    int fd = -1;
+    if (IsTcp()) {
+      fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      EXPECT_GE(fd, 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(static_cast<uint16_t>(port_));
+      EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+          << std::strerror(errno);
+    } else {
+      fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      EXPECT_GE(fd, 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, SocketPath().c_str(), sizeof(addr.sun_path) - 1);
+      EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+          << std::strerror(errno);
+    }
     return fd;
   }
 
@@ -268,11 +282,10 @@ class TcpFramingTest : public testing::Test {
     EXPECT_EQ(response.Find("echo")->as_string(), "still alive?");
   }
 
-  int port_ = 0;
   std::unique_ptr<TransportServer> server_;
 };
 
-TEST_F(TcpFramingTest, TornFrameCostsOnlyThatConnection) {
+TEST_P(FramingTest, TornFrameCostsOnlyThatConnection) {
   const int fd = RawConnect();
   // Header promises 64 bytes; deliver 5 and hang up mid-frame.
   const unsigned char header[4] = {0, 0, 0, 64};
@@ -282,7 +295,7 @@ TEST_F(TcpFramingTest, TornFrameCostsOnlyThatConnection) {
   ExpectServerStillServes();
 }
 
-TEST_F(TcpFramingTest, LyingLengthPrefixIsRejectedNotAllocated) {
+TEST_P(FramingTest, LyingLengthPrefixIsRejectedNotAllocated) {
   const int fd = RawConnect();
   // 0xFFFFFFFF-byte frame: far past the 64 MiB guard. The server must refuse
   // (close the connection) without trying to buffer 4 GiB.
@@ -295,7 +308,7 @@ TEST_F(TcpFramingTest, LyingLengthPrefixIsRejectedNotAllocated) {
   ExpectServerStillServes();
 }
 
-TEST_F(TcpFramingTest, GarbagePayloadGetsAnErrorResponse) {
+TEST_P(FramingTest, GarbagePayloadGetsAnErrorResponse) {
   const int fd = RawConnect();
   const std::string garbage = "this is not json";
   const uint32_t be_len = htonl(static_cast<uint32_t>(garbage.size()));
@@ -321,6 +334,9 @@ TEST_F(TcpFramingTest, GarbagePayloadGetsAnErrorResponse) {
   ::close(fd);
   ExpectServerStillServes();
 }
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, FramingTest,
+                         testing::Values("uds", "tcp"), BackendName);
 
 TEST(TcpClientErrorTest, ConnectFailureNamesEndpointAndErrnoCause) {
   // Nothing listens on the probed port; the refusal must name the endpoint and

@@ -133,6 +133,46 @@ TEST(ChaosFsTest, DifferentSaltDecorrelatesTheSchedule) {
   EXPECT_NE(ScheduleOf(dir.path, 7, 3, 200), ScheduleOf(dir.path, 8, 3, 200));
 }
 
+// The first 32 fault decisions for one fixed (seed, salt), pinned as literals:
+// a change to the generator or to the per-op draw order fails here, where
+// comparing two runs of the same build cannot. One token per 64-byte write:
+// '.' written, 'n' ENOSPC, 'e' EIO, 's<k>' short write persisting k bytes.
+TEST(ChaosFsTest, FixedSeedAndSaltPinTheFirst32FaultDecisions) {
+  ScopedTempDir dir;
+  ChaosFsSpec spec;
+  spec.seed = 7;
+  spec.enospc = 0.15;
+  spec.eio = 0.15;
+  spec.short_write = 0.2;
+  spec.after = 1;  // let the open through
+  ChaosFs chaos(RealVfs(), spec, /*salt=*/3);
+  const std::string path = dir.path + "/pinned.txt";
+  std::unique_ptr<VfsFile> file;
+  ASSERT_EQ(chaos.Open(path, Vfs::OpenMode::kTruncate, &file), 0);
+  const std::string block(64, 'x');
+  std::string trace;
+  uint64_t size = 0;
+  for (int i = 0; i < 32; ++i) {
+    const int rc = chaos.Write(file.get(), block);
+    const uint64_t now = fs::file_size(path);
+    if (rc == 0) {
+      trace += ".";
+    } else if (rc == EIO) {
+      trace += "e";
+    } else if (now > size) {
+      trace += "s" + std::to_string(now - size);
+    } else {
+      trace += "n";
+    }
+    trace += " ";
+    size = now;
+  }
+  chaos.Close(std::move(file));
+  EXPECT_EQ(trace,
+            "n e . e . e s20 . . n . s41 e s6 . s39 n s14 s47 . s6 . s61 n e . "
+            "s14 . . . n . ");
+}
+
 TEST(ChaosFsTest, EnospcFiresOnOpen) {
   ScopedTempDir dir;
   ChaosFsSpec spec;

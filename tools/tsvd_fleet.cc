@@ -50,7 +50,7 @@ Usage: tsvd_fleet [--flag=value ...]          # coordinator, spawns --agents=N a
 
  coordinator:
   --agents=N       agent processes to spawn (default 4; 0 = external agents only)
-  --address=ADDR   transport endpoint: uds:<socket-path> | dir:<queue-dir> |
+  --address=ADDR   transport endpoint: uds:<socket-path> |
                    tcp:<host>:<port>[?backlog=N] (default "uds:<out>/fleet.sock";
                    tcp port 0 picks a free port and tells the spawned agents)
   --transport=ADDR alias for --address (and for --connect in agent mode)
