@@ -1,151 +1,98 @@
+// RunCampaign is a FleetCoordinator driving options.workers agent threads over
+// the in-memory transport, so it links into tsvd_fleet (src/fleet/CMakeLists.txt).
 #include "src/campaign/campaign.h"
 
+#include <climits>
 #include <filesystem>
-#include <utility>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/campaign/journal.h"
-#include "src/campaign/ledger.h"
-#include "src/campaign/run_executor.h"
-#include "src/campaign/scheduler.h"
+#include "src/fleet/agent.h"
+#include "src/fleet/coordinator.h"
 
 namespace tsvd::campaign {
 
 CampaignResult RunCampaign(const CampaignOptions& options) {
-  // Corpus, config, and per-run execution all come from the shared core
-  // (run_executor.h) so the distributed fleet executes runs bit-identically.
-  const std::vector<workload::ModuleSpec> corpus =
-      BuildCampaignCorpus(options).modules;
+  // The agents share this process, and so the coordinator's fate: a lease never
+  // expires (no job runs twice), no silent agent fails the campaign, nothing
+  // beats, and only the coordinator's ledger journals.
+  fleet::FleetOptions fleet;
+  fleet.campaign = options;
+  fleet.lease_timeout_ms = INT_MAX;
+  fleet.agent_idle_timeout_ms = 0;
+  fleet.heartbeat_timeout_ms = 0;
+  fleet.wait_hint_ms = 1;  // an idle agent notices the next round at once
+  fleet::FleetCoordinator coordinator(fleet);
 
-  Scheduler scheduler(options.workers, options.pool_threads_per_worker);
-  CampaignLedger ledger(options, &corpus,
-                        [&scheduler] { return scheduler.workers(); });
-  TrapFile merged;  // the fleet-wide trap store, canonical at all times
-  if (!ledger.Open(&merged)) {
-    return std::move(ledger.result());
-  }
-
-  // Sandbox mode needs a scratch directory for the children's atomically-written
-  // trap checkpoints (salvaged by the parent when a child dies mid-run).
+  // Sandbox children checkpoint their traps atomically under work_dir/sandbox,
+  // where the parent salvages them when a child dies mid-run.
   const bool sandboxed = options.sandbox.enabled && sandbox::ForkSupported();
-  std::string checkpoint_dir;
-  if (sandboxed) {
-    std::filesystem::path dir =
-        !options.out_dir.empty()
-            ? std::filesystem::path(options.out_dir) / "sandbox"
-            : std::filesystem::temp_directory_path() /
-                  ("tsvd-sandbox-" +
-                   std::to_string(static_cast<uint64_t>(NowMicros())));
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    checkpoint_dir = dir.string();
-  }
+  const std::string work_dir =
+      !options.out_dir.empty()
+          ? options.out_dir
+          : (std::filesystem::temp_directory_path() /
+             ("tsvd-campaign-" + std::to_string(static_cast<uint64_t>(NowMicros()))))
+                .string();
+  const std::string checkpoint_dir = work_dir + "/sandbox";
 
-  const RunExecutor executor(options, &corpus, checkpoint_dir);
-
-  // Reap what a dead orchestrator's children left behind. On resume the salvaged
-  // pairs rejoin the fleet store (below, after the next imported snapshot); a
-  // fresh campaign only clears the litter so its own crash forensics can never
-  // salvage another campaign's stale checkpoint.
+  // Reap what a dead campaign's children left behind. On resume the salvaged
+  // pairs are staged into the trap store, which folds them in at the first
+  // round boundary — after that round's imported snapshot, so the snapshot stays
+  // the uninterrupted campaign's. A fresh campaign only clears the litter, so
+  // its own crash forensics can never salvage another campaign's checkpoint.
   TrapFile stale_salvage;
+  int salvaged_checkpoints = 0;
   if (sandboxed) {
-    ledger.result().salvaged_checkpoints =
-        ReapStaleCheckpoints(checkpoint_dir, &stale_salvage);
+    salvaged_checkpoints = ReapStaleCheckpoints(checkpoint_dir, &stale_salvage);
     if (!options.resume) {
       stale_salvage = TrapFile{};
     }
   }
-
-  if (ledger.journaled()) {
-    // The commit point: one fsync'd ledger record the moment a run reaches its
-    // final outcome, on the worker thread that finished it. Runs a drain skipped
-    // or cut short are never journaled — resume re-executes them.
-    scheduler.SetCompletionCallback(
-        [&ledger](const RunOutcome& outcome) { ledger.AppendRun(outcome); });
-  }
-
-  RetryPolicy retry;
-  retry.max_attempts = options.max_attempts;
-  retry.backoff_base_ms = options.sandbox.backoff_base_ms;
-  retry.backoff_cap_ms = options.sandbox.backoff_cap_ms;
-
-  // Disk-full behaves exactly like a delivered SIGINT: the scheduler polls this
-  // closure between runs and drains on the first true.
-  const std::function<bool()> interrupt = [&ledger] {
-    return ledger.StopRequested();
-  };
-  const int rounds = options.rounds > 0 ? options.rounds : 1;
-  for (int round = ledger.start_round();
-       !ledger.already_done() && round <= rounds; ++round) {
-    if (ledger.StopBeforeRound()) {
-      // Signal (or disk-full drain) arrived between rounds: stop before
-      // dispatching anything.
-      break;
-    }
-    // Runs of this round already committed to the ledger (resume of an
-    // interrupted round): reconstructed, not re-executed.
-    std::vector<RunOutcome> replayed = ledger.TakeReplayed(round);
-    std::vector<char> already(corpus.size(), 0);
-    for (const RunOutcome& o : replayed) {
-      if (o.module_index >= 0 && o.module_index < static_cast<int>(already.size())) {
-        already[o.module_index] = 1;
-      }
-    }
-
-    std::vector<RunJob> jobs;
-    jobs.reserve(corpus.size());
-    for (size_t m = 0; m < corpus.size(); ++m) {
-      if (ledger.quarantined(m) || already[m]) {
-        continue;  // benched, or its ledger record already exists for this round
-      }
-      jobs.push_back(RunJob{static_cast<int>(m), round, 1, 0});
-    }
-    if (jobs.empty() && replayed.empty()) {
-      break;
-    }
-
-    // Snapshot the store for the round: workers read it concurrently, the merge
-    // below happens only after every run of the round completed. On resume this
-    // equals the store the uninterrupted campaign would import — the replayed
-    // partial round's own traps are merged only during round processing, exactly
-    // like live outcomes' traps.
-    const TrapFile imported = merged;
-    if (!stale_salvage.empty()) {
-      // Dead children's checkpointed learning joins the fleet store now — after
-      // the imported snapshot, so the snapshot stays bit-identical to the
-      // uninterrupted campaign's.
-      merged.Merge(stale_salvage);
-      stale_salvage = TrapFile{};
-    }
-
-    const Scheduler::JobFn run_job = [&](const RunJob& job,
-                                         tasks::ThreadPool& pool) {
-      return executor.Execute(job, imported, &pool);
-    };
-
-    const Micros round_start = NowMicros();
-    std::vector<RunOutcome> outcomes;
-    if (!jobs.empty()) {
-      outcomes = scheduler.ExecuteRound(jobs, run_job, retry, interrupt);
-    }
-    for (RunOutcome& o : replayed) {
-      outcomes.push_back(std::move(o));
-    }
-    const RoundStats stats =
-        ledger.IngestRound(round, NowMicros() - round_start, scheduler.draining(),
-                           std::move(outcomes), &merged);
-    if (ledger.CommitRound(stats, merged.size(), merged)) {
-      break;  // drained, or converged
-    }
-  }
-
   if (!stale_salvage.empty()) {
-    merged.Merge(stale_salvage);  // no round ran; keep the reaped learning anyway
+    Json push = Json::MakeObject();
+    push.Set("type", "store_push");
+    push.Set("traps", stale_salvage.Serialize());
+    Json ack;
+    coordinator.Connect()->Call(push, &ack, nullptr);
+  }
+
+  const int workers = options.workers > 0 ? options.workers : 1;
+  std::vector<std::unique_ptr<fleet::TransportClient>> clients;
+  std::vector<std::thread> agents;
+  for (int i = 0; i < workers; ++i) {
+    clients.push_back(coordinator.Connect());
+    fleet::AgentOptions agent;
+    agent.name = "worker-" + std::to_string(i);
+    agent.work_dir = work_dir;
+    agent.interrupt = [&coordinator] { return coordinator.draining(); };
+    agents.emplace_back([client = clients.back().get(), agent] {
+      fleet::RunInProcessAgent(client, agent);
+    });
+  }
+  // Every worker joins before the first round is leased, so the reports'
+  // "workers" is options.workers from their first flush on.
+  while (coordinator.stats().agents_joined < static_cast<uint64_t>(workers)) {
+    std::this_thread::yield();
+  }
+
+  CampaignResult result = coordinator.Run();
+  for (std::thread& agent : agents) {
+    agent.join();
+  }
+  result.salvaged_checkpoints = salvaged_checkpoints;
+  if (result.error.empty() && !stale_salvage.empty()) {
+    // A resume that ran no round never reached the boundary that folds the
+    // staged salvage in; keep the reaped learning anyway.
+    result.merged_traps.Merge(stale_salvage);
   }
   if (sandboxed) {
     std::error_code ec;
-    std::filesystem::remove_all(checkpoint_dir, ec);
+    std::filesystem::remove_all(options.out_dir.empty() ? work_dir : checkpoint_dir,
+                                ec);
   }
-  return ledger.Finish(std::move(merged));
+  return result;
 }
 
 }  // namespace tsvd::campaign

@@ -1,8 +1,9 @@
 // Campaign orchestrator: the fleet-shaped service form of TSVD (PAPER.md Sections
 // 2.1, 3.4.6 — a push-button cloud service over ~1,600 projects and 84,795 runs).
 //
-// RunCampaign schedules the corpus through repeated rounds across a pool of parallel
-// workers. Between rounds it merges every run's trap export into one fleet-wide trap
+// RunCampaign runs the corpus through repeated rounds on `workers` parallel agent
+// threads: a fleet coordinator (src/fleet/coordinator.h) leasing jobs to agents in
+// its own process, the same orchestrator a multi-process fleet uses. Between rounds it merges every run's trap export into one fleet-wide trap
 // store (union + dedupe by canonical call-site-pair signature, atomic persistence) so
 // round r+1 traps known-dangerous pairs on their first occurrence; every violation
 // funnels into a central BugReportMgr that deduplicates across runs and emits unified
@@ -46,7 +47,7 @@ struct CampaignOptions {
   // Fault-injection modules appended to the corpus (workload/faults.h): each crash
   // module segfaults, each hang module sleeps past any watchdog deadline, each throw
   // module throws a non-std value. Only sensible with the sandbox enabled (except
-  // throw, which the in-process scheduler also survives).
+  // throw, which an in-process run also survives).
   int fault_crash_modules = 0;
   int fault_hang_modules = 0;
   int fault_throw_modules = 0;
@@ -70,8 +71,8 @@ struct CampaignOptions {
   int journal_snapshot_every = 64;
   // Graceful-stop poll (the SIGINT/SIGTERM hook; handlers set an atomic flag and
   // this closure reads it). Polled between runs: the first `true` stops
-  // dispatching, lets in-flight runs finish, flushes the journal and partial
-  // reports (stamped "interrupted": true), and returns. Never called from a signal
+  // dispatching, lets in-flight runs finish without further retries, flushes the
+  // journal and partial reports (stamped "interrupted": true), and returns. Never called from a signal
   // handler context, so it may take locks.
   std::function<bool()> interrupt;
 

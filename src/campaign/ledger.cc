@@ -137,7 +137,7 @@ bool LoadResumePlan(const std::string& out_dir, const JournalHeader& header,
 }
 
 // An attempt that threw produces a synthesized outcome with no module name (the
-// scheduler only knows indices); backfill it for the artifact trail.
+// retry ladder only knows indices); backfill it for the artifact trail.
 void BackfillModuleName(const std::vector<workload::ModuleSpec>& corpus,
                         RunOutcome* o) {
   if (o->module.empty() && o->module_index >= 0 &&
@@ -326,11 +326,6 @@ RoundStats CampaignLedger::IngestRound(int round, Micros wall_us, bool drained,
                      return a.module_index < b.module_index;
                    });
   for (RunOutcome& outcome : outcomes) {
-    if (outcome.status == RunStatus::kSkipped) {
-      // Never dispatched (drain). Not a run: no stats, no ledger record, no
-      // report entry — the resumed campaign executes it from scratch.
-      continue;
-    }
     ++stats.runs;
     BackfillModuleName(corpus_, &outcome);
     if (outcome.status == RunStatus::kCrashed) {

@@ -1,9 +1,9 @@
 // The campaign ledger: the durable round-commit path both orchestrators share
 // (DESIGN.md §11, §13, §15).
 //
-// RunCampaign (one process, a Scheduler of workers) and FleetCoordinator::Run
-// (leases to agent processes) differ only in how a round's runs get executed.
-// Everything a round does once its outcomes are in is the same, and lives here:
+// FleetCoordinator::Run drives it — for a fleet of agent processes and, through
+// RunCampaign, for agent threads in its own process. Everything a round does once
+// its outcomes are in lives here:
 //
 //   * journal identity and resume replay — a resumed campaign reconstructs its
 //     completed rounds, dedup state, trap store and quarantine from the journal
@@ -22,9 +22,8 @@
 //     already marks finished, and on an orchestration error (a dead fleet),
 //     so every one of those stays resumable.
 //
-// The orchestrator keeps its own trap store (a plain TrapFile, or the fleet's
-// versioned TrapStoreService) and passes in the round's store size and
-// contents. AppendRun, AppendEvent and StopRequested are thread-safe; every
+// The coordinator keeps the trap store (its versioned TrapStoreService) and
+// passes in the round's store size and contents. AppendRun, AppendEvent and StopRequested are thread-safe; every
 // other member is called from the orchestrator's round loop only.
 #ifndef SRC_CAMPAIGN_LEDGER_H_
 #define SRC_CAMPAIGN_LEDGER_H_
@@ -86,7 +85,7 @@ class CampaignLedger {
   bool StopBeforeRound();
 
   // Ingests one round's outcomes in module order — replayed and fresh runs
-  // alike, skipped runs excluded — and merges their trap exports into `traps`.
+  // alike — and merges their trap exports into `traps`.
   // Newly quarantined modules are benched from later rounds. The returned stats
   // lack only trap_pairs_after, which the caller's store decides.
   RoundStats IngestRound(int round, Micros wall_us, bool drained,

@@ -20,9 +20,9 @@ struct RunJob {
   int module_index = 0;
   int round = 0;  // 1-based, as reported to users
   int attempt = 1;
-  // Delay-degradation ladder step this attempt runs at. The scheduler raises it when
-  // a sandboxed attempt times out, so the retry re-runs with a halved delay_us and a
-  // tightened per-thread delay budget (see sandbox::SandboxPolicy).
+  // Delay-degradation ladder step this attempt runs at. The retry ladder raises it
+  // when a sandboxed attempt times out, so the retry re-runs with a halved delay_us
+  // and a tightened per-thread delay budget (see sandbox::SandboxPolicy).
   int degrade_level = 0;
 };
 
@@ -30,9 +30,6 @@ enum class RunStatus {
   kOk,
   kCrashed,   // attempt threw or the sandbox child died on a signal; no run data
   kTimedOut,  // the sandbox watchdog SIGKILLed the attempt at its deadline
-  kSkipped,   // still queued when a drain was requested; never dispatched. Skipped
-              // runs are excluded from stats, reports, and the campaign journal —
-              // a resumed campaign re-executes them from scratch.
 };
 
 // One detected violation lifted out of the run, keyed entirely by stable call-site

@@ -115,6 +115,7 @@ Micros RetryBackoffUs(const RetryPolicy& policy, int completed_attempts) {
   if (policy.backoff_base_ms <= 0) {
     return 0;
   }
+  // First retry waits the base; each further retry doubles it, capped.
   const int doublings = std::min(completed_attempts - 1, 20);
   const int64_t ms = std::min<int64_t>(
       static_cast<int64_t>(policy.backoff_base_ms) << doublings,
@@ -282,10 +283,11 @@ RunOutcome RunExecutor::ExecuteForked(const RunJob& job,
   return outcome;
 }
 
-RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
-                              const TrapFile& imported, tasks::ThreadPool* pool,
-                              const RetryPolicy& policy) {
+RunOutcome ExecuteWithRetries(RunJob job, const AttemptFn& attempt,
+                              const RetryPolicy& policy,
+                              const std::function<bool()>& interrupt) {
   const int max_attempts = std::max(policy.max_attempts, 1);
+  const auto interrupted = [&interrupt] { return interrupt && interrupt(); };
   std::vector<std::string> errors;
   TrapFile salvaged;
 
@@ -294,7 +296,7 @@ RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
     bool ok = false;
     std::string error;
     try {
-      outcome = executor.Execute(job, imported, pool);
+      outcome = attempt(job);
       ok = outcome.status == RunStatus::kOk;
       if (!ok) {
         error = outcome.error.empty() ? "run failed" : outcome.error;
@@ -315,12 +317,18 @@ RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
         salvaged.Merge(outcome.traps);
       }
       if (job.attempt < max_attempts) {
-        if (outcome.status == RunStatus::kTimedOut) {
-          ++job.degrade_level;
+        // Sleep out the backoff in slices, so a drain is never held up by it.
+        const Micros until = NowMicros() + RetryBackoffUs(policy, job.attempt);
+        while (!interrupted() && NowMicros() < until) {
+          SleepMicros(std::min<Micros>(until - NowMicros(), 5'000));
         }
-        SleepMicros(RetryBackoffUs(policy, job.attempt));
-        ++job.attempt;
-        continue;
+        if (!interrupted()) {
+          if (outcome.status == RunStatus::kTimedOut) {
+            ++job.degrade_level;
+          }
+          ++job.attempt;
+          continue;
+        }
       }
       // Preserve whatever forensics the failed outcome carries (crash signature,
       // fatal signal); an exception path synthesizes a crashed outcome.
@@ -331,7 +339,10 @@ RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
       outcome.module_index = job.module_index;
       outcome.round = job.round;
       outcome.error = error;
-      outcome.quarantined = true;  // exhausted max_attempts
+      // Quarantine only a genuinely exhausted job. A drain that cut retries
+      // short leaves it un-quarantined: the uninterrupted campaign might have
+      // retried it successfully, so a resumed one re-runs it fresh.
+      outcome.quarantined = job.attempt >= max_attempts;
       outcome.observations.clear();
       outcome.traps = std::move(salvaged);
     } else if (!salvaged.empty()) {

@@ -11,12 +11,12 @@
 #ifndef SRC_CAMPAIGN_RUN_EXECUTOR_H_
 #define SRC_CAMPAIGN_RUN_EXECUTOR_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/campaign/campaign.h"
 #include "src/campaign/journal.h"
-#include "src/campaign/scheduler.h"
 #include "src/common/config.h"
 #include "src/workload/module.h"
 #include "src/workload/runner.h"
@@ -91,15 +91,32 @@ class RunExecutor {
   bool sandboxed_;
 };
 
-// The scheduler's retry ladder as a standalone loop, for callers (fleet agents)
-// that execute one job at a time instead of a queue: failed attempts retry up to
-// policy.max_attempts with exponential backoff, a timed-out attempt degrades the
-// delay ladder one step, salvaged trap pairs survive across attempts, and an
-// exhausted job comes back quarantined — the same semantics Scheduler::WorkerLoop
-// gives campaign workers.
-RunOutcome ExecuteWithRetries(const RunExecutor& executor, RunJob job,
-                              const TrapFile& imported, tasks::ThreadPool* pool,
-                              const RetryPolicy& policy);
+// Retry shape for one job. backoff_base_ms 0 retries immediately; otherwise the
+// n-th retry waits backoff_base_ms * 2^(n-1) ms, capped at backoff_cap_ms.
+struct RetryPolicy {
+  int max_attempts = 2;
+  int backoff_base_ms = 0;
+  int backoff_cap_ms = 2'000;
+};
+
+// One attempt of a job: RunExecutor::Execute with the round's snapshot bound in.
+using AttemptFn = std::function<RunOutcome(const RunJob& job)>;
+
+// The campaign's retry ladder — the only one; every run of a campaign or a fleet
+// goes through it (on an agent's lease loop). An attempt that throws — any
+// exception, standard or not — or returns a non-kOk outcome (a sandboxed child
+// that crashed or hit its watchdog) is retried up to policy.max_attempts times,
+// sleeping out the backoff in between; a timed-out attempt retries one step down
+// the delay-degradation ladder. Every failed attempt's error is recorded, trap
+// pairs salvaged from failed attempts carry into the final outcome, and a job
+// that exhausts its attempts comes back quarantined, never dropped.
+//
+// `interrupt` (may be empty) is polled between attempts and during the backoff:
+// once true, a failed attempt is returned as is — neither retried nor
+// quarantined — so a drained campaign re-runs the job fresh on resume.
+RunOutcome ExecuteWithRetries(RunJob job, const AttemptFn& attempt,
+                              const RetryPolicy& policy,
+                              const std::function<bool()>& interrupt);
 
 }  // namespace tsvd::campaign
 

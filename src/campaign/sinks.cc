@@ -58,9 +58,6 @@ Json BugToJson(const BugReportMgr::UniqueBug& bug) {
 // part of its length uninstrumented because the fail-open firewall tripped; healthy
 // first-attempt runs stay out of the forensics trail.
 bool IsFailureRecord(const RunOutcome& outcome) {
-  if (outcome.status == RunStatus::kSkipped) {
-    return false;  // drain-skipped, not failed: resume will execute it
-  }
   return outcome.status != RunStatus::kOk || outcome.attempts > 1 ||
          outcome.runtime_disabled;
 }

@@ -12,7 +12,7 @@
 
 #include "src/campaign/journal.h"
 #include "src/campaign/run_executor.h"
-#include "src/campaign/scheduler.h"
+#include "src/common/rng.h"
 #include "src/fleet/chaos_transport.h"
 #include "src/fleet/protocol.h"
 #include "src/fleet/transport.h"
@@ -36,13 +36,6 @@ AgentResult Fail(AgentStatus status, std::string why) {
   return r;
 }
 
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 // Re-sends one logical request — same document, same nonce — under exponential
 // backoff with jitter until the exchange succeeds, the budget expires, or the
 // interrupt fires. The constant nonce is what makes the retry safe: if the
@@ -50,7 +43,7 @@ uint64_t SplitMix64(uint64_t* state) {
 // at-most-once cache answers the re-send instead of executing twice.
 bool CallWithRetry(TransportClient* client, const Json& request, Json* response,
                    int budget_ms, const std::function<bool()>& interrupt,
-                   uint64_t* jitter_rng, uint64_t* retries, std::string* error) {
+                   Rng* jitter_rng, uint64_t* retries, std::string* error) {
   const Micros deadline = NowMicros() + static_cast<Micros>(budget_ms) * 1000;
   Micros backoff_us = 50'000;
   constexpr Micros kBackoffCapUs = 2'000'000;
@@ -64,7 +57,8 @@ bool CallWithRetry(TransportClient* client, const Json& request, Json* response,
     ++*retries;
     // Sleep 0.75x–1.25x of the nominal backoff: enough jitter that a fleet cut
     // off by one partition does not reconnect in lockstep.
-    const Micros jitter = SplitMix64(jitter_rng) % (backoff_us / 2 + 1);
+    const Micros jitter =
+        static_cast<Micros>(jitter_rng->NextBelow(backoff_us / 2 + 1));
     Micros nap = backoff_us - backoff_us / 4 + jitter;
     const Micros remaining = deadline - NowMicros();
     if (nap > remaining) {
@@ -136,26 +130,17 @@ class HeartbeatThread {
   std::thread thread_;
 };
 
-}  // namespace
-
-AgentResult RunAgent(const AgentOptions& agent_options) {
+// The agent proper over an established client: join, then lease, execute and
+// publish until the coordinator says done. `local_journal` keeps the agent's own
+// forensics ledger under work_dir.
+AgentResult ServeLeases(TransportClient* client, const AgentOptions& agent_options,
+                        bool local_journal) {
   std::string error;
-  std::unique_ptr<TransportClient> client =
-      MakeTransportClient(agent_options.address, &error);
-  if (client == nullptr) {
-    return Fail(AgentStatus::kError, error);
-  }
-  client->set_connect_timeout_ms(agent_options.hello_timeout_ms);
-  client = WrapWithChaos(std::move(client), agent_options.chaos,
-                         agent_options.chaos_salt, &error);
-  if (client == nullptr) {
-    return Fail(AgentStatus::kError, "chaos: " + error);
-  }
-
-  uint64_t jitter_rng = 0x5eed;
+  uint64_t jitter_seed = 0x5eed;
   for (const char c : agent_options.name) {
-    jitter_rng = jitter_rng * 131 + static_cast<unsigned char>(c);
+    jitter_seed = jitter_seed * 131 + static_cast<unsigned char>(c);
   }
+  Rng jitter_rng(jitter_seed);
 
   AgentResult result;
 
@@ -171,7 +156,7 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
     hello.Set("auth_token", agent_options.auth_token);
   }
   Json setup;
-  if (!CallWithRetry(client.get(), hello, &setup, agent_options.hello_timeout_ms,
+  if (!CallWithRetry(client, hello, &setup, agent_options.hello_timeout_ms,
                      agent_options.interrupt, &jitter_rng, &result.rpc_retries,
                      &error)) {
     // Never reached the coordinator at all: the distinct "check the address,
@@ -216,20 +201,23 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
                    .string();
     scratch_work_dir = true;
   }
-  std::error_code ec;
-  std::filesystem::create_directories(work_dir, ec);
   const std::string checkpoint_dir = work_dir + "/sandbox";
-  std::filesystem::create_directories(checkpoint_dir, ec);
-
   const campaign::RunExecutor executor(options, &corpus, checkpoint_dir);
+  std::error_code ec;
+  if (executor.sandboxed()) {
+    std::filesystem::create_directories(checkpoint_dir, ec);
+  }
 
   // The local crash-forensics ledger: every outcome is committed here, fsync'd,
   // before it is published — a SIGKILLed agent leaves a complete record of what it
   // finished even if the publish never happened.
   campaign::CampaignJournal journal;
-  journal.Open(campaign::CampaignJournal::PathIn(work_dir),
-               campaign::MakeJournalHeader(options, corpus.size()),
-               /*truncate=*/true, /*fsync=*/DurableFileSyncEnabled());
+  if (local_journal) {
+    std::filesystem::create_directories(work_dir, ec);
+    journal.Open(campaign::CampaignJournal::PathIn(work_dir),
+                 campaign::MakeJournalHeader(options, corpus.size()),
+                 /*truncate=*/true, /*fsync=*/DurableFileSyncEnabled());
+  }
 
   // The heartbeat thread gets its own connection (the lease loop can be busy
   // executing a job for seconds at a time) and its own chaos stream.
@@ -289,7 +277,7 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
     lease_req.Set("nonce", ++nonce);
     lease_req.Set("trap_version", cached_version);
     Json resp;
-    if (!CallWithRetry(client.get(), lease_req, &resp, agent_options.rpc_retry_ms,
+    if (!CallWithRetry(client, lease_req, &resp, agent_options.rpc_retry_ms,
                        agent_options.interrupt, &jitter_rng, &result.rpc_retries,
                        &error)) {
       if (agent_options.interrupt && agent_options.interrupt()) {
@@ -352,13 +340,19 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
     job.round = static_cast<int>(round->as_int());
     job.attempt = 1;
     job.degrade_level = 0;
-    RunOutcome outcome =
-        campaign::ExecuteWithRetries(executor, job, cached_traps, &pool, retry);
+    RunOutcome outcome = campaign::ExecuteWithRetries(
+        job,
+        [&](const RunJob& attempt) {
+          return executor.Execute(attempt, cached_traps, &pool);
+        },
+        retry, agent_options.interrupt);
     if (outcome.module.empty() && outcome.module_index >= 0 &&
         outcome.module_index < static_cast<int>(corpus.size())) {
       outcome.module = corpus[outcome.module_index].name;
     }
-    journal.AppendRun(outcome);
+    if (journal.is_open()) {
+      journal.AppendRun(outcome);
+    }
 
     Json publish = Json::MakeObject();
     publish.Set("type", "result");
@@ -367,7 +361,7 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
     publish.Set("lease", lease_id->as_int());
     publish.Set("outcome", sandbox::EncodeRunOutcome(outcome));
     Json ack;
-    if (!CallWithRetry(client.get(), publish, &ack, agent_options.rpc_retry_ms,
+    if (!CallWithRetry(client, publish, &ack, agent_options.rpc_retry_ms,
                        agent_options.interrupt, &jitter_rng, &result.rpc_retries,
                        &error)) {
       if (agent_options.interrupt && agent_options.interrupt()) {
@@ -383,6 +377,29 @@ AgentResult RunAgent(const AgentOptions& agent_options) {
   }
 
   return finish(AgentStatus::kOk, "");
+}
+
+}  // namespace
+
+AgentResult RunAgent(const AgentOptions& agent_options) {
+  std::string error;
+  std::unique_ptr<TransportClient> client =
+      MakeTransportClient(agent_options.address, &error);
+  if (client == nullptr) {
+    return Fail(AgentStatus::kError, error);
+  }
+  client->set_connect_timeout_ms(agent_options.hello_timeout_ms);
+  client = WrapWithChaos(std::move(client), agent_options.chaos,
+                         agent_options.chaos_salt, &error);
+  if (client == nullptr) {
+    return Fail(AgentStatus::kError, "chaos: " + error);
+  }
+  return ServeLeases(client.get(), agent_options, /*local_journal=*/true);
+}
+
+AgentResult RunInProcessAgent(TransportClient* client,
+                              const AgentOptions& agent_options) {
+  return ServeLeases(client, agent_options, /*local_journal=*/false);
 }
 
 }  // namespace tsvd::fleet

@@ -17,6 +17,9 @@
 // thread (when enabled) proves liveness; an agent the coordinator evicted — or
 // one that cannot reach the coordinator at all — ends with a distinct status so
 // supervisors can tell "network/coordinator problem" from "campaign problem".
+//
+// RunCampaign runs the same lease loop on threads of the coordinator's own
+// process (RunInProcessAgent), over the in-memory transport.
 #ifndef SRC_FLEET_AGENT_H_
 #define SRC_FLEET_AGENT_H_
 
@@ -25,6 +28,8 @@
 #include <string>
 
 namespace tsvd::fleet {
+
+class TransportClient;
 
 // Why the agent stopped. tsvd_fleet maps these to process exit codes
 // (0 ok / 1 error / 3 unreachable / 4 evicted) so orchestrators can react
@@ -60,8 +65,9 @@ struct AgentOptions {
   // Shared secret presented in the hello when non-empty; must match the
   // coordinator's --auth_token or the join is refused.
   std::string auth_token;
-  // Graceful stop: polled between runs; the first true finishes the current job,
-  // publishes it, and exits cleanly.
+  // Graceful stop: polled between runs and between a failed run's retries; the
+  // first true stops retrying, publishes the current job's outcome, and exits
+  // cleanly.
   std::function<bool()> interrupt;
 };
 
@@ -75,6 +81,14 @@ struct AgentResult {
 };
 
 AgentResult RunAgent(const AgentOptions& options);
+
+// The same agent as a thread of the coordinator's own process, joined through
+// `client` (FleetCoordinator::Connect). It shares the coordinator's fate, so it
+// keeps no local journal — the coordinator's ledger, one fsync per run, is the
+// only record. `options.work_dir` must be set: sandbox checkpoints go to its
+// "sandbox" subdirectory. address, chaos and the hello/rpc budgets are unused,
+// and heartbeat_ms must stay 0: there is no endpoint to beat to.
+AgentResult RunInProcessAgent(TransportClient* client, const AgentOptions& options);
 
 }  // namespace tsvd::fleet
 

@@ -14,7 +14,8 @@ using campaign::Json;
 using campaign::RunOutcome;
 
 FleetCoordinator::FleetCoordinator(FleetOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      corpus_(campaign::BuildCampaignCorpus(options_.campaign).modules) {}
 
 FleetCoordinator::~FleetCoordinator() { Shutdown(); }
 
@@ -27,6 +28,24 @@ void FleetCoordinator::Shutdown() {
     server_->Stop();
     server_.reset();
   }
+}
+
+std::unique_ptr<TransportClient> FleetCoordinator::Connect() {
+  return MakeInProcessClient([this](const Json& request) { return Handle(request); });
+}
+
+bool FleetCoordinator::draining() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return interrupted_;
+}
+
+void FleetCoordinator::MarkFinished() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    finished_ = true;
+    round_active_ = false;
+  }
+  round_cv_.notify_all();
 }
 
 FleetStats FleetCoordinator::stats() const {
@@ -284,27 +303,39 @@ Json FleetCoordinator::HandleResult(const Json& request) {
     return resp;
   }
   const uint64_t lease_id = static_cast<uint64_t>(lease->as_int());
+  // Only a final outcome — success, or quarantine after exhausted attempts —
+  // completes a job. A failed run whose retries an interrupt cut short is not
+  // final: the uninterrupted campaign might have retried it successfully.
+  const bool final = outcome.status == campaign::RunStatus::kOk || outcome.quarantined;
+  bool current = false;
   bool accepted = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     last_contact_us_ = NowMicros();
     const auto it = open_leases_.find(lease_id);
     if (it != open_leases_.end()) {
-      JobSlot& slot = slots_[it->second.slot];
+      const size_t slot_index = it->second.slot;
+      JobSlot& slot = slots_[slot_index];
       // Idempotent acceptance: the first publish for a slot wins; anything later
       // — a re-executed stolen job, a retransmit — is acknowledged and
       // discarded, so no run can ever double-count into stats, the journal, or
       // the bug manager.
-      if (slot.phase == JobPhase::kLeased &&
-          outcome.module_index == slot.module_index && outcome.round == round_) {
-        slot.outcome = outcome;
-        slot.phase = JobPhase::kDone;
-        accepted = true;
+      current = slot.phase == JobPhase::kLeased &&
+                outcome.module_index == slot.module_index && outcome.round == round_;
+      if (current) {
+        if (final || interrupted_) {
+          slot.outcome = outcome;
+          slot.phase = JobPhase::kDone;
+          accepted = true;
+        } else {
+          // The agent alone was interrupted mid-retry and the campaign goes
+          // on: the job is still owed, to the next lease.
+          slot.phase = JobPhase::kPending;
+        }
         // Every lease for this slot (original + stolen) is now dead.
-        const size_t done_slot = it->second.slot;
         for (auto lease_it = open_leases_.begin();
              lease_it != open_leases_.end();) {
-          if (lease_it->second.slot == done_slot) {
+          if (lease_it->second.slot == slot_index) {
             lease_it = open_leases_.erase(lease_it);
           } else {
             ++lease_it;
@@ -312,16 +343,19 @@ Json FleetCoordinator::HandleResult(const Json& request) {
         }
       }
     }
-    if (!accepted) {
+    if (!current) {
       ++stats_.duplicate_results;
     }
   }
   if (accepted) {
-    // The ledger commit point, mirroring the single-process completion callback:
-    // fsync'd before the ack, outside the coordinator lock. done_count_ advances
+    // The ledger commit point: fsync'd before the ack, outside the coordinator
+    // lock, for final outcomes only — a drain-cut run is reported but never
+    // journaled, so a resumed campaign re-runs it fresh. done_count_ advances
     // only after the record is durable, so the round barrier can never commit a
     // round record ahead of one of its run records.
-    ledger_->AppendRun(outcome);
+    if (final) {
+      ledger_->AppendRun(outcome);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++done_count_;
@@ -373,7 +407,6 @@ size_t FleetCoordinator::LiveOpenLeasesLocked() const {
 
 CampaignResult FleetCoordinator::Run() {
   const campaign::CampaignOptions& opt = options_.campaign;
-  corpus_ = campaign::BuildCampaignCorpus(opt).modules;
   ledger_ = std::make_unique<campaign::CampaignLedger>(opt, &corpus_, [this] {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int>(stats_.agents_joined);
@@ -381,24 +414,28 @@ CampaignResult FleetCoordinator::Run() {
   campaign::CampaignLedger& ledger = *ledger_;
   TrapFile restored;
   if (!ledger.Open(&restored)) {
+    MarkFinished();
     return std::move(ledger.result());
   }
   store_.Restore(std::move(restored));
 
   // Nothing was served yet: close the journal now and report the error.
   const auto fail_to_start = [this](std::string error) {
+    MarkFinished();
     CampaignResult result = std::move(ledger_->result());
     result.error = std::move(error);
     ledger_.reset();
     return result;
   };
   std::string transport_error;
-  server_ = MakeTransportServer(options_.address, &transport_error);
-  if (server_ == nullptr ||
-      !server_->Start([this](const Json& req) { return Handle(req); },
-                      &transport_error)) {
-    server_.reset();
-    return fail_to_start("transport: " + transport_error);
+  if (!options_.address.empty()) {
+    server_ = MakeTransportServer(options_.address, &transport_error);
+    if (server_ == nullptr ||
+        !server_->Start([this](const Json& req) { return Handle(req); },
+                        &transport_error)) {
+      server_.reset();
+      return fail_to_start("transport: " + transport_error);
+    }
   }
   if (!options_.federation.peers.empty()) {
     federator_ = std::make_unique<StoreFederator>(&store_, options_.federation);
@@ -539,12 +576,7 @@ CampaignResult FleetCoordinator::Run() {
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    finished_ = true;
-    round_active_ = false;
-  }
-  round_cv_.notify_all();
+  MarkFinished();
   return ledger.Finish(store_.Snapshot());
 }
 

@@ -1,4 +1,4 @@
-// Fleet coordinator: the distributed form of RunCampaign (DESIGN.md §13).
+// Fleet coordinator: the one campaign orchestrator (DESIGN.md §13).
 //
 // The coordinator owns every piece of campaign state — the corpus identity, the
 // versioned trap store, the crash-consistent journal, the BugReportMgr — and
@@ -8,10 +8,12 @@
 // never double-count bugs. Rounds are barriers, exactly as in the single-process
 // campaign: every job of round r imports the same trap-store snapshot, and the
 // store, journal, reports, and convergence decision advance only when the round's
-// last outcome is in. With identical options and seed, a fleet of any size —
-// including one that lost agents to SIGKILL mid-round — reports the same
-// unique-bug set as `RunCampaign`, because both drive the shared execution core
-// (src/campaign/run_executor.h) with identical inputs in identical order.
+// last outcome is in. A single-process campaign (RunCampaign) is this coordinator
+// driving agent threads over the in-memory transport, so with identical options
+// and seed a fleet of any size — including one that lost agents to SIGKILL
+// mid-round — reports the same unique-bug set as `RunCampaign` by construction:
+// the same lease loop, retry ladder and execution core
+// (src/campaign/run_executor.h) run either way.
 //
 // Over a lossy network (DESIGN.md §14) the same contract holds: replayed
 // lease/result requests are answered from a per-agent nonce cache instead of
@@ -46,7 +48,9 @@ struct FleetOptions {
   // `journal_snapshot_every`, and `interrupt` keep their single-process meaning,
   // applied at the coordinator.
   campaign::CampaignOptions campaign;
-  std::string address;  // transport endpoint ("uds:" | "tcp:")
+  // Transport endpoint ("uds:" | "tcp:"). Empty: no listener — only agent
+  // threads holding a Connect() client can join.
+  std::string address;
   // A leased job not published within this window is considered lost (agent
   // SIGKILLed, wedged, or partitioned) and becomes stealable by any agent.
   int lease_timeout_ms = 30'000;
@@ -84,6 +88,7 @@ struct FleetStats {
 
 class FleetCoordinator {
  public:
+  // Builds the campaign's corpus, so agents may join (hello) before Run().
   explicit FleetCoordinator(FleetOptions options);
   ~FleetCoordinator();
   FleetCoordinator(const FleetCoordinator&) = delete;
@@ -98,6 +103,14 @@ class FleetCoordinator {
   // Stops the transport and the federation thread. Called automatically by the
   // destructor.
   void Shutdown();
+
+  // A client for an agent thread in this process: each Call is a direct Handle()
+  // call. Valid while the coordinator lives.
+  std::unique_ptr<TransportClient> Connect();
+
+  // True once Run() began a graceful drain: no job is leased any more, and an
+  // in-process agent stops retrying its failed run. Thread-safe.
+  bool draining() const;
 
   FleetStats stats() const;
   FederationStats federation_stats() const;
@@ -140,6 +153,8 @@ class FleetCoordinator {
   std::vector<std::string> SweepEvictionsLocked(Micros now);
   // Open leases whose holder is not evicted — what a graceful drain waits on.
   size_t LiveOpenLeasesLocked() const;
+  // Ends serving jobs: every later lease is answered "done".
+  void MarkFinished();
 
   const FleetOptions options_;
 
@@ -164,7 +179,7 @@ class FleetCoordinator {
   std::map<std::string, AgentInfo> agents_;
   Micros last_contact_us_ = 0;
   FleetStats stats_;
-  std::vector<workload::ModuleSpec> corpus_;
+  const std::vector<workload::ModuleSpec> corpus_;
 };
 
 }  // namespace tsvd::fleet

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -421,6 +422,23 @@ std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,
     return nullptr;
   }
   return std::make_unique<SocketClient>(std::move(parsed));
+}
+
+std::unique_ptr<TransportClient> MakeInProcessClient(RequestHandler handler) {
+  class InProcessClient : public TransportClient {
+   public:
+    explicit InProcessClient(RequestHandler handler)
+        : handler_(std::move(handler)) {}
+    bool Call(const Json& request, Json* response, std::string*) override {
+      *response = handler_(request);
+      return true;
+    }
+    void set_connect_timeout_ms(int) override {}
+
+   private:
+    const RequestHandler handler_;
+  };
+  return std::make_unique<InProcessClient>(std::move(handler));
 }
 
 }  // namespace tsvd::fleet

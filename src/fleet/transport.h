@@ -28,6 +28,9 @@
 // (agents re-send idempotently under nonces; see protocol.h). Every transport
 // error string names the failing endpoint and carries the errno cause.
 //
+// A third, in-memory client (MakeInProcessClient) serves agent threads that share
+// the coordinator's process: RunCampaign is a coordinator driving such agents.
+//
 // For deterministic network-fault injection around any client backend, see
 // chaos_transport.h.
 #ifndef SRC_FLEET_TRANSPORT_H_
@@ -77,6 +80,11 @@ std::unique_ptr<TransportServer> MakeTransportServer(const std::string& address,
                                                      std::string* error);
 std::unique_ptr<TransportClient> MakeTransportClient(const std::string& address,
                                                      std::string* error);
+
+// The in-memory transport, for an agent thread in the coordinator's own process:
+// each Call hands the request document to `handler` on the calling thread — no
+// socket, no frame, no JSON text — and never fails.
+std::unique_ptr<TransportClient> MakeInProcessClient(RequestHandler handler);
 
 }  // namespace tsvd::fleet
 

@@ -16,8 +16,6 @@ const char* RunStatusName(RunStatus status) {
       return "crashed";
     case RunStatus::kTimedOut:
       return "timed_out";
-    case RunStatus::kSkipped:
-      return "skipped";
   }
   return "unknown";
 }
@@ -29,8 +27,6 @@ bool RunStatusFromName(const std::string& name, RunStatus* out) {
     *out = RunStatus::kCrashed;
   } else if (name == "timed_out") {
     *out = RunStatus::kTimedOut;
-  } else if (name == "skipped") {
-    *out = RunStatus::kSkipped;
   } else {
     return false;
   }

@@ -260,8 +260,8 @@ ForkRun RunForked(const std::function<campaign::RunOutcome()>& fn, int timeout_m
     return result;
   }
 
-  // Hold the interning lock across fork(): a child forked while another scheduler
-  // worker's thread was mid-intern would otherwise inherit a locked mutex and
+  // Hold the interning lock across fork(): a child forked while another agent
+  // thread was mid-intern would otherwise inherit a locked mutex and
   // deadlock on its first instrumented call.
   CallSiteRegistry::Instance().LockForFork();
   const Micros start = NowMicros();

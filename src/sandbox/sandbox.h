@@ -85,8 +85,8 @@ struct ForkRun {
 // it. The child installs fatal-signal handlers, runs `fn`, streams the encoded
 // outcome back, and _exit(0)s without running parent-owned destructors. Thrown
 // exceptions in `fn` become kExited with the message in `error`. Thread-safe: any
-// number of scheduler workers may fork concurrently (interning is locked across the
-// fork so a child cannot inherit a mutex held by another worker's thread).
+// number of campaign agent threads may fork concurrently (interning is locked across
+// the fork so a child cannot inherit a mutex held by another agent's thread).
 ForkRun RunForked(const std::function<campaign::RunOutcome()>& fn, int timeout_ms);
 
 // Child-side progress markers, streamed to the parent as they happen so forensics

@@ -29,8 +29,8 @@ ModuleSpec MakeHangModule(const std::string& name, uint64_t seed,
                           const WorkloadParams& params,
                           Micros hang_us = 600'000'000);
 
-// A test that throws a value that is not a std::exception (the scheduler must
-// record it as crashed instead of terminating the worker).
+// A test that throws a value that is not a std::exception (the retry ladder must
+// record it as crashed instead of terminating the agent).
 ModuleSpec MakeNonStdThrowModule(const std::string& name, uint64_t seed,
                                  const WorkloadParams& params);
 

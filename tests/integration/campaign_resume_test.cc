@@ -92,7 +92,7 @@ TEST(CampaignResumeTest, DrainedCampaignResumesToUninterruptedBugSet) {
   ASSERT_FALSE(baseline.bugs.empty());
 
   // The second interrupt poll returns true: the drain lands mid-round-1 (in the
-  // scheduler's wait loop) or at the round-2 boundary, depending on timing —
+  // coordinator's round wait) or at the round-2 boundary, depending on timing —
   // both are paths resume must handle.
   CampaignOptions interrupted_options = FastOptions(drained_dir.path);
   std::atomic<int> polls{0};
@@ -160,6 +160,86 @@ TEST(CampaignResumeTest, InterruptBeforeFirstRunLeavesResumableJournal) {
   ASSERT_TRUE(resumed.error.empty()) << resumed.error;
   EXPECT_EQ(resumed.resumed_runs, 0u);
   EXPECT_FALSE(resumed.bugs.empty());
+}
+
+// The drain contract: a drain that lands while a failed run waits out a long
+// retry backoff returns as soon as the in-flight runs finish — it waits out
+// neither the backoff nor a lease timeout — and the cut run is reported but not
+// journaled, so resume runs it fresh and reaches the uninterrupted bug set.
+TEST(CampaignResumeTest, DrainCutsARetryPromptlyAndResumeRerunsIt) {
+  const auto with_throw_module = [](const std::string& out_dir, int backoff_ms) {
+    CampaignOptions options = FastOptions(out_dir);
+    options.fault_throw_modules = 1;  // module 10: every attempt throws
+    options.max_attempts = 3;
+    options.sandbox.backoff_base_ms = backoff_ms;
+    return options;
+  };
+  const int throw_module = 10;  // appended after FastOptions' 10 modules
+  ScopedTempDir baseline_dir;
+  ScopedTempDir drained_dir;
+  const CampaignResult baseline = RunCampaign(with_throw_module(baseline_dir.path, 0));
+  ASSERT_TRUE(baseline.error.empty()) << baseline.error;
+  ASSERT_FALSE(baseline.bugs.empty());
+
+  // Drain 300 ms after round 1's other runs are all journaled: by then the
+  // throw module's first attempt has failed and its 20 s backoff has begun.
+  CampaignOptions options = with_throw_module(drained_dir.path, 20'000);
+  const std::string journal = CampaignJournal::PathIn(drained_dir.path);
+  Micros others_done_at = 0;
+  options.interrupt = [&] {
+    if (others_done_at == 0) {
+      JournalReplay replay;
+      if (CampaignJournal::Load(journal, &replay) &&
+          replay.outcomes.size() >= static_cast<size_t>(throw_module)) {
+        others_done_at = NowMicros();
+      }
+      return false;
+    }
+    return NowMicros() - others_done_at > 300'000;
+  };
+  const Micros start = NowMicros();
+  const CampaignResult drained = RunCampaign(options);
+  const Micros drain_wall = NowMicros() - start;
+  ASSERT_TRUE(drained.error.empty()) << drained.error;
+  EXPECT_TRUE(drained.interrupted);
+  // Well under the 20 s backoff and the coordinator's 30 s lease timeout.
+  EXPECT_LT(drain_wall, 10'000'000);
+
+  // The cut run: reported after one attempt, neither quarantined nor journaled.
+  bool cut_reported = false;
+  for (const RunOutcome& o : drained.outcomes) {
+    if (o.module_index == throw_module && o.round == 1) {
+      cut_reported = true;
+      EXPECT_EQ(o.status, RunStatus::kCrashed);
+      EXPECT_EQ(o.attempts, 1);
+      EXPECT_FALSE(o.quarantined);
+    }
+  }
+  EXPECT_TRUE(cut_reported);
+  JournalReplay replay;
+  ASSERT_TRUE(CampaignJournal::Load(journal, &replay));
+  EXPECT_EQ(replay.outcomes.size(), static_cast<size_t>(throw_module));
+  for (const RunOutcome& o : replay.outcomes) {
+    EXPECT_NE(o.module_index, throw_module) << "the cut run was journaled";
+    EXPECT_TRUE(o.status == RunStatus::kOk || o.quarantined);
+  }
+
+  CampaignOptions resume_options = with_throw_module(drained_dir.path, 0);
+  resume_options.resume = true;
+  const CampaignResult resumed = RunCampaign(resume_options);
+  ASSERT_TRUE(resumed.error.empty()) << resumed.error;
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.resumed_runs, static_cast<uint64_t>(throw_module));
+  EXPECT_EQ(SignatureSet(resumed), SignatureSet(baseline));
+  ExpectNoDuplicateRunRecords(drained_dir.path);
+  // Resume ran the cut job fresh, to quarantine after all three attempts.
+  bool requarantined = false;
+  for (const RunOutcome& o : resumed.outcomes) {
+    if (o.module_index == throw_module && o.round == 1) {
+      requarantined = o.quarantined && o.attempts == 3;
+    }
+  }
+  EXPECT_TRUE(requarantined);
 }
 
 TEST(CampaignResumeTest, ResumeRefusesIdentityMismatch) {

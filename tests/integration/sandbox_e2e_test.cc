@@ -233,7 +233,7 @@ TEST_F(SandboxE2ETest, DeadlockFaultIsUnstalledBySentinelNotTheWatchdog) {
 }
 
 TEST_F(SandboxE2ETest, InProcessFallbackSurvivesNonStdThrow) {
-  // No sandbox: the scheduler's catch(...) must absorb a non-std throw, record the
+  // No sandbox: the retry ladder's catch(...) must absorb a non-std throw, record the
   // attempts, and let the rest of the round finish untouched.
   CampaignOptions options;
   options.num_modules = 2;

@@ -134,7 +134,7 @@ TEST(SandboxTest, ConcurrentForksFromMultipleThreads) {
   if (!ForkSupported()) {
     GTEST_SKIP() << "no fork() on this platform";
   }
-  // Scheduler workers fork concurrently in sandbox mode; the interning lock held
+  // Campaign agent threads fork concurrently in sandbox mode; the interning lock held
   // across fork() must not deadlock or cross wires between children.
   std::vector<std::thread> threads;
   std::atomic<int> ok{0};

@@ -7,10 +7,8 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
-
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -19,6 +17,7 @@
 #include "src/io/chaos_fs.h"
 #include "src/sandbox/sandbox.h"
 #include "src/tasks/thread_pool.h"
+#include "tools/campaign_flags.h"
 #include "tools/flag_parser.h"
 
 namespace {
@@ -64,9 +63,10 @@ Usage: tsvd_campaign [--flag=value ...]
   --journal_snapshot_every=N  snapshot dedup state to DIR/bugmgr.snap.json at the
                    first round boundary after every N journaled runs, so resume
                    replays only the journal tail (default 64; 0 disables)
-  SIGINT/SIGTERM   graceful drain: queued runs are skipped, in-flight runs finish,
-                   the journal and partial reports ("interrupted": true) are
-                   flushed, and the tool exits 0; rerun with --resume
+  SIGINT/SIGTERM   graceful drain: no new run starts, in-flight runs finish (a
+                   failed one is not retried), the journal and partial reports
+                   ("interrupted": true) are flushed, and the tool exits 0;
+                   rerun with --resume
 
  storage faults (see DESIGN.md §15):
   --io_chaos=SPEC  deterministic storage-fault injection on every durable write
@@ -214,38 +214,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  campaign::CampaignOptions options;
+  campaign::CampaignOptions options = tools::ParseCampaignFlags(flags);
   options.workers = static_cast<int>(flags.GetInt("workers", 4, 1, 256));
-  options.rounds = static_cast<int>(flags.GetInt("rounds", 3, 1, 1000));
-  options.num_modules = static_cast<int>(flags.GetInt("modules", 40, 1, 100000));
-  options.detector = flags.GetString("detector", "TSVD");
-  options.scale = flags.GetDouble("scale", 0.02, 1e-6, 1.0);
-  options.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", 42, 0, std::numeric_limits<int64_t>::max()));
-  // --max_attempts is the documented name; --retries remains as an alias.
-  const int64_t retries_alias = flags.GetInt("retries", 2, 1, 10);
-  options.max_attempts =
-      static_cast<int>(flags.GetInt("max_attempts", retries_alias, 1, 10));
-  options.stop_when_converged = !flags.GetBool("no-converge", false);
   options.out_dir = flags.GetString("out", "campaign-out");
   options.resume = flags.GetBool("resume", false);
-  options.journal_snapshot_every =
-      static_cast<int>(flags.GetInt("journal_snapshot_every", 64, 0, 1000000));
-  options.sandbox.enabled = flags.GetBool("sandbox", false);
-  options.sandbox.run_timeout_ms =
-      static_cast<int>(flags.GetInt("run_timeout_ms", 30000, 0, 86400000));
-  options.sandbox.backoff_base_ms =
-      static_cast<int>(flags.GetInt("backoff_ms", 50, 0, 60000));
-  options.fault_crash_modules = static_cast<int>(flags.GetInt("fault-crash", 0, 0, 100));
-  options.fault_hang_modules = static_cast<int>(flags.GetInt("fault-hang", 0, 0, 100));
-  options.fault_throw_modules = static_cast<int>(flags.GetInt("fault-throw", 0, 0, 100));
-  options.fault_deadlock_modules =
-      static_cast<int>(flags.GetInt("fault-deadlock", 0, 0, 100));
-  options.delay_us_override = 1000 * flags.GetInt("delay_ms", 0, 0, 3600000);
-  options.stall_grace_us = 1000 * flags.GetInt("stall_grace_ms", -1, -1, 3600000);
-  options.max_overhead_pct = flags.GetDouble("max_overhead_pct", -1.0, -1.0, 100.0);
-  options.max_internal_errors =
-      static_cast<int>(flags.GetInt("max_internal_errors", -1, -1, 1000000));
   const bool list_modules = flags.GetBool("list-modules", false);
   const bool list_json = flags.GetBool("json", false);
   const std::string io_chaos = flags.GetString("io_chaos", "");

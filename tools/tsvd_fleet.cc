@@ -26,6 +26,7 @@
 #include "src/fleet/agent.h"
 #include "src/fleet/coordinator.h"
 #include "src/sandbox/sandbox.h"
+#include "tools/campaign_flags.h"
 #include "tools/flag_parser.h"
 
 namespace {
@@ -77,7 +78,7 @@ Usage: tsvd_fleet [--flag=value ...]          # coordinator, spawns --agents=N a
 
  campaign shape (same meaning as tsvd_campaign):
   --rounds=N --modules=N --detector=NAME --scale=F --seed=N --no-converge
-  --max_attempts=N --journal_snapshot_every=N
+  --max_attempts=N (alias --retries) --journal_snapshot_every=N
   --sandbox --run_timeout_ms=N --backoff_ms=N
   --fault-crash=N --fault-hang=N --fault-throw=N --fault-deadlock=N
   --delay_ms=N --stall_grace_ms=N --max_overhead_pct=F --max_internal_errors=N
@@ -114,38 +115,6 @@ The fleet and the single-process tsvd_campaign report the same unique-bug set fo
 identical campaign flags and seed; agent deaths mid-round — and, under --chaos,
 dropped/duplicated/delayed messages and healed partitions — do not change it.
 )";
-
-tsvd::campaign::CampaignOptions ParseCampaignOptions(tsvd::tools::FlagParser& flags) {
-  tsvd::campaign::CampaignOptions options;
-  options.rounds = static_cast<int>(flags.GetInt("rounds", 3, 1, 1000));
-  options.num_modules = static_cast<int>(flags.GetInt("modules", 40, 1, 100000));
-  options.detector = flags.GetString("detector", "TSVD");
-  options.scale = flags.GetDouble("scale", 0.02, 1e-6, 1.0);
-  options.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", 42, 0, std::numeric_limits<int64_t>::max()));
-  options.max_attempts = static_cast<int>(flags.GetInt("max_attempts", 2, 1, 10));
-  options.stop_when_converged = !flags.GetBool("no-converge", false);
-  options.journal_snapshot_every =
-      static_cast<int>(flags.GetInt("journal_snapshot_every", 64, 0, 1000000));
-  options.sandbox.enabled = flags.GetBool("sandbox", false);
-  options.sandbox.run_timeout_ms =
-      static_cast<int>(flags.GetInt("run_timeout_ms", 30000, 0, 86400000));
-  options.sandbox.backoff_base_ms =
-      static_cast<int>(flags.GetInt("backoff_ms", 50, 0, 60000));
-  options.fault_crash_modules =
-      static_cast<int>(flags.GetInt("fault-crash", 0, 0, 100));
-  options.fault_hang_modules = static_cast<int>(flags.GetInt("fault-hang", 0, 0, 100));
-  options.fault_throw_modules =
-      static_cast<int>(flags.GetInt("fault-throw", 0, 0, 100));
-  options.fault_deadlock_modules =
-      static_cast<int>(flags.GetInt("fault-deadlock", 0, 0, 100));
-  options.delay_us_override = 1000 * flags.GetInt("delay_ms", 0, 0, 3600000);
-  options.stall_grace_us = 1000 * flags.GetInt("stall_grace_ms", -1, -1, 3600000);
-  options.max_overhead_pct = flags.GetDouble("max_overhead_pct", -1.0, -1.0, 100.0);
-  options.max_internal_errors =
-      static_cast<int>(flags.GetInt("max_internal_errors", -1, -1, 1000000));
-  return options;
-}
 
 // Splits "a,b,c" into {"a","b","c"}, skipping empty items.
 std::vector<std::string> SplitCommaList(const std::string& text) {
@@ -327,7 +296,7 @@ int main(int argc, char** argv) {
   }
 
   fleet::FleetOptions options;
-  options.campaign = ParseCampaignOptions(flags);
+  options.campaign = tools::ParseCampaignFlags(flags);
   options.campaign.out_dir = flags.GetString("out", "fleet-out");
   options.campaign.resume = flags.GetBool("resume", false);
   const int agents = static_cast<int>(flags.GetInt("agents", 4, 0, 256));
