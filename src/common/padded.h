@@ -33,6 +33,18 @@ struct alignas(kCacheLineSize) CacheAligned {
 static_assert(sizeof(CacheAligned<char>) == kCacheLineSize);
 static_assert(alignof(CacheAligned<char>) == kCacheLineSize);
 
+// Asks for the line holding `p` in a state this core may write, so a later store
+// does not wait for another core to give it up. A hint only: it never faults,
+// whatever `p` points at. x86 uses PREFETCHW explicitly, since the compiler's
+// generic write prefetch falls back to a read prefetch without -mprfchw.
+inline void PrefetchForWrite(const void* p) {
+#if defined(__x86_64__) || defined(__i386__)
+  asm volatile("prefetchw %0" : : "m"(*static_cast<const char*>(p)));
+#else
+  __builtin_prefetch(p, 1, 3);
+#endif
+}
+
 }  // namespace tsvd
 
 #endif  // SRC_COMMON_PADDED_H_

@@ -46,6 +46,11 @@ class Detector {
   // never needs these.
   virtual bool WantsSyncEvents() const { return false; }
 
+  // Called first on every dynamic TSVD point, before any of the runtime's per-call
+  // bookkeeping: a hint to start fetching the state OnCall will write for `obj`,
+  // so that transfer overlaps the bookkeeping. Must not change any state.
+  virtual void Prefetch(ObjectId /*obj*/, ThreadId /*tid*/) {}
+
   // Called on every dynamic TSVD point, before the instrumented operation executes and
   // after the runtime's trap-conflict check. Performs the variant's bookkeeping
   // (near-miss tracking, HB inference, vector clocks, ...) and decides whether to trap.

@@ -1,5 +1,6 @@
 #include "src/core/nearmiss_tracker.h"
 
+#include <algorithm>
 #include <cassert>
 #include <mutex>
 #include <new>
@@ -11,7 +12,9 @@ constexpr std::align_val_t kLineAlign{kCacheLineSize};
 }  // namespace
 
 NearMissTracker::NearMissTracker(const Config& config)
-    : window_us_(config.disable_nearmiss_window ? -1 : config.nearmiss_window_us),
+    : window_us_(config.disable_nearmiss_window
+                     ? -1
+                     : std::min(config.nearmiss_window_us, kMaxWindowUs)),
       history_(config.disable_nearmiss_window ? config.nearmiss_history_unwindowed
                                               : config.nearmiss_history) {
   assert(history_ >= 1 && history_ <= kMaxHistory &&
@@ -88,12 +91,16 @@ NearMissTracker::History* NearMissTracker::NewHistory(Shard& shard) {
 void NearMissTracker::ScanAndRecord(History& history, const Access& access,
                                     ConflictBuffer& out) {
   Record* ring = history.ring();
+  if (history.count == 0) {
+    history.base = access.time;
+  }
   // Oldest-to-newest scan preserves the eviction order of the erase-from-front
   // implementation this replaces (conflicts are reported oldest first).
   int index = history.head - history.count;
   if (index < 0) {
     index += history_;
   }
+  const Micros since_base = access.time - history.base;
   for (int k = 0; k < history.count; ++k) {
     const Record& rec = ring[index];
     if (++index == history_) {
@@ -102,19 +109,37 @@ void NearMissTracker::ScanAndRecord(History& history, const Access& access,
     if (rec.tid() == access.tid || !KindsConflict(rec.kind(), access.kind)) {
       continue;
     }
-    if (window_us_ >= 0 && access.time - rec.time > window_us_) {
+    if (window_us_ >= 0 && since_base - rec.offset > window_us_) {
       continue;
     }
-    out.push_back(NearMiss{rec.op, rec.concurrent()});
+    out.push_back(NearMiss{rec.op(), rec.concurrent()});
   }
 
+  if (since_base < std::numeric_limits<int32_t>::min() ||
+      since_base > std::numeric_limits<int32_t>::max()) {
+    Rebase(history, access.time);
+  }
   ring[history.head] =
-      Record{access.time, access.op,
-             Record::Pack(access.tid, access.kind, access.concurrent_phase)};
+      Record::Pack(static_cast<int32_t>(access.time - history.base), access.op,
+                   access.tid, access.kind, access.concurrent_phase);
   history.head = static_cast<uint8_t>(history.head + 1 == history_ ? 0 : history.head + 1);
   if (history.count < history_) {
     ++history.count;
   }
+}
+
+void NearMissTracker::Rebase(History& history, Micros now) {
+  // A record more than 2^31 µs before `now` is pinned at -2^31: every later
+  // access (see the header) is still more than kMaxWindowUs past it, so it stays
+  // outside the window exactly as its true time would.
+  constexpr Micros kLo = std::numeric_limits<int32_t>::min();
+  constexpr Micros kHi = std::numeric_limits<int32_t>::max();
+  Record* ring = history.ring();
+  for (int i = 0; i < history_; ++i) {
+    const Micros offset = history.base + ring[i].offset - now;
+    ring[i].offset = static_cast<int32_t>(std::clamp(offset, kLo, kHi));
+  }
+  history.base = now;
 }
 
 std::vector<NearMissTracker::NearMiss> NearMissTracker::RecordAndFindConflicts(
@@ -138,7 +163,8 @@ void NearMissTracker::MaybeSweep(Shard& shard, Micros now) {
     std::lock_guard<WordLock> lock(history.lock);
     const int newest = (history.head - 1 + history_) % history_;
     const bool stale = history.count == 0 ||
-                       now - history.ring()[newest].time > 8 * window_us_;
+                       now - (history.base + history.ring()[newest].offset) >
+                           8 * window_us_;
     if (!stale) {
       ++it;
       continue;

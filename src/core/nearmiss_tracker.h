@@ -9,20 +9,30 @@
 //
 // Hot-path design. Under a shared object pool every thread records into the same
 // few histories, so those lines really are contended, and what a call costs is how
-// many lines it pulls from another core. The layout keeps that to about two.
+// many lines it pulls from another core. The layout keeps that to one.
 //   - Each object's history is one line-aligned block, allocated when the object is
-//     first seen: a 16-byte header (a 4-byte WordLock, head, count, owner) followed by
-//     a ring of N_nm 16-byte records, with tid, kind and the concurrent flag packed
-//     into one word. The lock sits on the line the insert writes anyway, so taking it
-//     brings that line along. At the default N_nm = 5 the block is 96 bytes: the
-//     header line plus one more. Every history size, up to the unwindowed
-//     ablation's 64, uses this one layout.
+//     first seen: a 24-byte header (a 4-byte WordLock, head, count, live, owner and
+//     a 64-bit time base) followed by a ring of N_nm 8-byte records. A record keeps
+//     its time as a signed 32-bit offset from the base, its op in 16 bits, and tid,
+//     kind and flags in 16 more. The lock sits on the line the insert writes anyway,
+//     so taking it brings that line along. At the default N_nm = 5 the block is
+//     exactly one 64-byte line. Every history size, up to the unwindowed ablation's
+//     64, uses this one layout.
 //   - The common call reaches the block through its thread's MRU way (below) and
 //     locks only the block: the shard's lock, hash map and sweep counter are
 //     touched only when the way misses.
+//   - Prefetch() lets the runtime ask for that line, for writing, when a call
+//     enters OnCall, so its transfer from another core overlaps the runtime's own
+//     per-call bookkeeping instead of stalling the insert.
 //   - The lock spins briefly, then blocks, so a contended call neither parks in the
 //     kernel at once (as std::mutex does) nor spins without bound on an
 //     oversubscribed machine.
+// Window decisions are exact. When an access's offset from the base no longer fits
+// 32 bits, the block rebases to that access's time; a record left more than 2^31 µs
+// behind the new base is pinned there, which is still outside any window (windows
+// are capped at 2^31 - 1 µs, about 36 minutes). This holds as long as an access is
+// recorded less than 2^31 - T_nm µs earlier than the newest time its object
+// has seen, which a clock read just before the record always satisfies.
 // Because MRU ways are read without the shard lock, a way can point at a block the
 // sweep has since retired. Blocks are therefore type-stable: the sweep returns a
 // stale block to its shard's free list for reuse rather than freeing it, and the
@@ -35,6 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <unordered_map>
@@ -43,6 +54,7 @@
 #include "src/common/config.h"
 #include "src/common/fixed_vector.h"
 #include "src/common/padded.h"
+#include "src/common/per_thread.h"
 #include "src/common/word_lock.h"
 #include "src/core/access.h"
 
@@ -74,42 +86,75 @@ class NearMissTracker {
   // Number of objects currently tracked (diagnostics / memory accounting).
   size_t TrackedObjects() const;
 
-  // One recorded access, 16 bytes so four share a line. `who` packs the thread id
-  // (bits 2..31), the write bit (bit 1) and the concurrent-phase flag (bit 0).
-  // PerThread bounds every ThreadId below 4096, far inside the 30 bits kept.
-  struct Record {
-    Micros time;
-    OpId op;
-    uint32_t who;
-
-    static constexpr ThreadId kMaxTid = (ThreadId{1} << 30) - 1;
-    static constexpr uint32_t Pack(ThreadId tid, OpKind kind, bool concurrent) {
-      return (tid << 2) | (kind == OpKind::kWrite ? 2u : 0u) | (concurrent ? 1u : 0u);
+  // Warms `obj`'s history block for a call `tid` is about to make: if the thread's
+  // MRU way names `obj`, requests the block's line for writing. Only a hint; a
+  // stale way costs one wasted prefetch (blocks are type-stable), and the owner
+  // check under the block's lock stays the only trust check.
+  void Prefetch(ObjectId obj, ThreadId tid) {
+    const MruWay& way = MruFor(ShardFor(obj), tid);
+    const History* hist = way.hist.load(std::memory_order_relaxed);
+    if (hist != nullptr && way.obj.load(std::memory_order_relaxed) == obj) {
+      PrefetchForWrite(hist);
     }
-    ThreadId tid() const { return who >> 2; }
+  }
+
+  // Longest window kept exact: a record's time is a signed 32-bit offset.
+  static constexpr Micros kMaxWindowUs = std::numeric_limits<int32_t>::max();
+
+  // One recorded access, 8 bytes, so the header and five records fill one line.
+  // `offset` is the access time in µs after its block's base. `op16` holds ops
+  // below 2^16, which covers every op the trap set can hold; a wider op sets the
+  // wide bit and reads back as kInvalidOp. `who` packs the thread id (bits
+  // 3..15), the wide bit (bit 2), the write bit (bit 1) and the concurrent-phase
+  // flag (bit 0).
+  struct Record {
+    int32_t offset;
+    uint16_t op16;
+    uint16_t who;
+
+    static constexpr int kTidShift = 3;
+    static constexpr ThreadId kMaxTid = (ThreadId{1} << (16 - kTidShift)) - 1;
+    static constexpr OpId kMaxOp = std::numeric_limits<uint16_t>::max();
+    static constexpr Record Pack(int32_t offset, OpId op, ThreadId tid, OpKind kind,
+                                 bool concurrent) {
+      const bool wide = op > kMaxOp;
+      return Record{offset, static_cast<uint16_t>(wide ? 0 : op),
+                    static_cast<uint16_t>((tid << kTidShift) | (wide ? 4u : 0u) |
+                                          (kind == OpKind::kWrite ? 2u : 0u) |
+                                          (concurrent ? 1u : 0u))};
+    }
+    OpId op() const { return (who & 4u) != 0 ? kInvalidOp : OpId{op16}; }
+    ThreadId tid() const { return ThreadId{who} >> kTidShift; }
     OpKind kind() const { return (who & 2u) != 0 ? OpKind::kWrite : OpKind::kRead; }
     bool concurrent() const { return (who & 1u) != 0; }
   };
-  static_assert(sizeof(Record) == 16, "four records per cache line");
+  static_assert(sizeof(Record) == 8, "eight records per cache line");
+  static_assert(PerThread<int>::kDefaultCapacity - 1 <= Record::kMaxTid,
+                "every runtime ThreadId fits the packed record");
 
  private:
   // Header of an object's line-aligned block; `history_` Records follow it. All of
   // it is guarded by `lock`. `owner` is the object the block records while `live`;
   // `head` is the next write position, `count` saturates at the capacity, and
-  // oldest-first iteration starts at (head - count) mod capacity.
-  struct alignas(sizeof(Record)) History {
+  // oldest-first iteration starts at (head - count) mod capacity. A record's time
+  // is `base` + its offset.
+  struct History {
     WordLock lock;
     uint8_t head = 0;
     uint8_t count = 0;
     bool live = false;
     ObjectId owner = 0;
+    Micros base = 0;
 
     Record* ring() { return std::launder(reinterpret_cast<Record*>(this + 1)); }
     const Record* ring() const {
       return std::launder(reinterpret_cast<const Record*>(this + 1));
     }
   };
-  static_assert(sizeof(History) == sizeof(Record), "records start on a 16-byte slot");
+  static_assert(sizeof(History) == 24 && sizeof(History) % alignof(Record) == 0,
+                "records follow the header without padding");
+  static_assert(sizeof(History) + 5 * sizeof(Record) == kCacheLineSize,
+                "at the paper's N_nm = 5 a history is exactly one line");
   static_assert(kMaxHistory <= UINT8_MAX, "head and count are bytes");
   struct HistoryDeleter {
     void operator()(History* history) const;
@@ -154,6 +199,8 @@ class NearMissTracker {
   // shard lock, and sweeps the shard when due.
   History& LockHistorySlow(Shard& shard, const Access& access);
   History* NewHistory(Shard& shard);
+  // Moves `history`'s base to `now`, re-expressing every record's offset.
+  void Rebase(History& history, Micros now);
   void ScanAndRecord(History& history, const Access& access, ConflictBuffer& out);
   void MaybeSweep(Shard& shard, Micros now);
 

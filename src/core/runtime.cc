@@ -46,6 +46,9 @@ void Runtime::OnCall(ObjectId obj, OpId op, OpKind kind) noexcept {
 
 void Runtime::OnCallImpl(ObjectId obj, OpId op, OpKind kind) {
   const ThreadId tid = CurrentThreadId();
+  // Under a shared object pool the detector's per-object state is on another
+  // core; start its transfer now so it overlaps the bookkeeping below.
+  detector_->Prefetch(obj, tid);
   const Micros now = NowMicros();
   engine_.NoteProgress(tid, now);
 

@@ -29,6 +29,7 @@ class TsvdDetector : public Detector {
 
   std::string name() const override { return "TSVD"; }
 
+  void Prefetch(ObjectId obj, ThreadId tid) override { nearmiss_.Prefetch(obj, tid); }
   DelayDecision OnCall(const Access& access) override;
   void OnDelayFinished(const Access& access, const DelayOutcome& outcome) override;
   void OnViolation(const Access& trapped, const Access& racing) override;

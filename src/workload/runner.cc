@@ -140,11 +140,18 @@ SingleRun ModuleRunner::RunOnce(const ModuleSpec& spec, const DetectorFactory& f
       test_begin_hook_(index, test.name);
     };
   }
+  // The last export handed to the checkpoint hook, empty before the first. A
+  // test that taught the trap set nothing new leaves the export as it was, and
+  // saving it again would only repeat the same durable write.
+  TrapFile checkpointed;
   if (checkpoint_hook_) {
-    after_test = [this, &runtime](int index) {
+    after_test = [this, &runtime, &checkpointed](int index) {
       TrapFile traps = runtime.detector().ExportTrapFile();
       traps.Canonicalize();
-      checkpoint_hook_(index, traps);
+      if (traps.pairs != checkpointed.pairs) {
+        checkpoint_hook_(index, traps);
+        checkpointed = std::move(traps);
+      }
     };
   }
 

@@ -111,9 +111,11 @@ class ModuleRunner {
   void set_test_begin_hook(std::function<void(int, const std::string&)> hook) {
     test_begin_hook_ = std::move(hook);
   }
-  // Called after each test of RunOnce completes with the test index and the
-  // detector's current canonical trap export. The sandbox checkpoints it atomically
-  // so a later crash salvages every near-miss pair learned so far.
+  // Called after a test of RunOnce completes with the test index and the
+  // detector's current canonical trap export, whenever that export differs from
+  // the one last handed over (or, before the first, from an empty one). The sandbox
+  // checkpoints it atomically so a later crash salvages every near-miss pair
+  // learned so far.
   void set_checkpoint_hook(std::function<void(int, const TrapFile&)> hook) {
     checkpoint_hook_ = std::move(hook);
   }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -234,20 +235,34 @@ TEST(HotPathStressTest, AddPairStressCountsEachPairOnce) {
   EXPECT_EQ(genuine.load(), kDistinct);
 }
 
-// A recorded access's tid and flags share one word; the largest thread id the
-// runtime can hand out (PerThread's capacity bounds it) and the largest the packing
-// keeps must both survive with either flag bit set.
+// A recorded access packs its op into 16 bits and its tid and flags into 16
+// more; the largest thread id the runtime can hand out (PerThread's capacity
+// bounds it) and the largest the packing keeps must both survive with every
+// flag combination, every op the trap set can hold must come back exactly, and a
+// wider op must come back as kInvalidOp rather than as a truncated real op.
 TEST(HotPathStressTest, NearMissRecordPackingRoundTrips) {
   using Record = NearMissTracker::Record;
   const ThreadId largest_runtime_tid =
       static_cast<ThreadId>(PerThread<int>::kDefaultCapacity - 1);
+  struct OpCase {
+    OpId in;
+    OpId out;
+  };
+  const OpCase ops[] = {{0, 0}, {65535, 65535}, {65536, kInvalidOp}};
   for (const ThreadId tid : {ThreadId{1}, largest_runtime_tid, Record::kMaxTid}) {
-    for (const OpKind kind : {OpKind::kRead, OpKind::kWrite}) {
-      for (const bool concurrent : {false, true}) {
-        const Record rec{0, 0, Record::Pack(tid, kind, concurrent)};
-        EXPECT_EQ(rec.tid(), tid);
-        EXPECT_EQ(rec.kind(), kind);
-        EXPECT_EQ(rec.concurrent(), concurrent);
+    for (const OpCase& op : ops) {
+      for (const OpKind kind : {OpKind::kRead, OpKind::kWrite}) {
+        for (const bool concurrent : {false, true}) {
+          for (const int32_t offset : {std::numeric_limits<int32_t>::min(), -1, 0,
+                                         std::numeric_limits<int32_t>::max()}) {
+            const Record rec = Record::Pack(offset, op.in, tid, kind, concurrent);
+            EXPECT_EQ(rec.offset, offset);
+            EXPECT_EQ(rec.op(), op.out) << "op " << op.in;
+            EXPECT_EQ(rec.tid(), tid);
+            EXPECT_EQ(rec.kind(), kind);
+            EXPECT_EQ(rec.concurrent(), concurrent);
+          }
+        }
       }
     }
   }
@@ -284,6 +299,7 @@ TEST(HotPathStressTest, NearMissOnSharedObjectsReportsOnlyCrossThreadConflicts) 
         a.time = NowMicros();
         a.concurrent_phase = (i & 1) != 0;
         NearMissTracker::ConflictBuffer out;
+        tracker.Prefetch(a.obj, a.tid);  // as Runtime::OnCall does, racing the writers
         tracker.RecordAndFindConflicts(a, out);
         if (static_cast<int>(out.size()) > cfg.nearmiss_history) {
           over_history.fetch_add(1, std::memory_order_relaxed);

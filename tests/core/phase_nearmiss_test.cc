@@ -217,6 +217,34 @@ TEST(NearMissTest, RingBufferEvictionWrapsRepeatedly) {
   EXPECT_EQ(misses[2].other_op, 63u);
 }
 
+// A record keeps its time as a 32-bit offset from its block's base, and the block
+// rebases when an access no longer fits. The window's edge must stay exact across
+// that: the object's first record lies 2^31 or 2^32 µs back, a write sits exactly
+// T_nm (near miss) or T_nm + 1 (not) before a read, and the long-gone first
+// record must not resurface as a near miss after the rebase.
+TEST(NearMissTest, WindowEdgeIsExactAcrossARebase) {
+  constexpr Micros kWindow = 1000;
+  for (const Micros back : {Micros{1} << 31, Micros{1} << 32}) {
+    for (const Micros extra : {Micros{0}, Micros{1}}) {
+      SCOPED_TRACE(::testing::Message() << "back=" << back << " extra=" << extra);
+      NearMissTracker tracker(NearMissConfig(kWindow, /*history=*/5));
+      tracker.RecordAndFindConflicts(At(3, 0x10, 7, OpKind::kWrite, 0));
+      tracker.RecordAndFindConflicts(At(1, 0x10, 1, OpKind::kWrite, back - kWindow - extra));
+      // The read that may rebase, and one more read after it.
+      for (const ThreadId reader : {ThreadId{2}, ThreadId{4}}) {
+        const auto misses =
+            tracker.RecordAndFindConflicts(At(reader, 0x10, 9, OpKind::kRead, back));
+        if (extra == 0) {
+          ASSERT_EQ(misses.size(), 1u) << "reader " << reader;
+          EXPECT_EQ(misses[0].other_op, 1u);
+        } else {
+          EXPECT_TRUE(misses.empty()) << "reader " << reader;
+        }
+      }
+    }
+  }
+}
+
 // A thread's MRU way can outlive the block it names: the sweep retires a stale
 // object's block and a new object in the same shard reuses it. The owner check
 // must send the thread back to the shard, so it never reads the new owner's
@@ -238,6 +266,9 @@ TEST(NearMissTest, SweptBlockReusedByAnotherObjectIsNotMistakenForTheOld) {
   }
   EXPECT_EQ(tracker.TrackedObjects(), 4100u);
   // Had thread 1 trusted its way, it would see thread 2's write to the new owner.
+  // Prefetching through the stale way, as Runtime::OnCall does first, changes
+  // nothing.
+  tracker.Prefetch(stale, 1);
   EXPECT_TRUE(
       tracker.RecordAndFindConflicts(At(1, stale, 3, OpKind::kWrite, 10'001)).empty());
   EXPECT_EQ(tracker.TrackedObjects(), 4101u);

@@ -1,7 +1,12 @@
 // Corpus generation, runner mechanics, and ground-truth bookkeeping tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/workload/corpus.h"
 #include "src/workload/stats.h"
@@ -117,6 +122,58 @@ TEST(RunnerTest, TrapFileCarriesAcrossRuns) {
   }
   EXPECT_LE(found_in_run1, 1);  // run 1 can essentially never trap it
   EXPECT_GE(found_in_run2, 5);  // run 2 almost always does
+}
+
+// A detector whose trap export after each test follows a fixed script, so the
+// checkpoint hook's trigger can be checked without timing.
+class ScriptedExportDetector : public Detector {
+ public:
+  explicit ScriptedExportDetector(std::vector<TrapFile> exports)
+      : exports_(std::move(exports)) {}
+  std::string name() const override { return "ScriptedExport"; }
+  DelayDecision OnCall(const Access&) override { return {}; }
+  TrapFile ExportTrapFile() const override {
+    const size_t i = std::min(calls_++, exports_.size() - 1);
+    return exports_[i];
+  }
+
+ private:
+  std::vector<TrapFile> exports_;
+  mutable size_t calls_ = 0;
+};
+
+TEST(RunnerTest, CheckpointHookFiresOncePerDistinctExport) {
+  const TrapFile empty;
+  TrapFile ab;
+  ab.pairs = {{"a", "b"}};
+  TrapFile ab_cd_unsorted;  // the same pairs as ab_cd, as a trap set may export them
+  ab_cd_unsorted.pairs = {{"d", "c"}, {"b", "a"}};
+  TrapFile ab_cd;
+  ab_cd.pairs = {{"a", "b"}, {"c", "d"}};
+  // One export per test, then the final export RunOnce returns.
+  const std::vector<TrapFile> script = {empty, ab, ab, ab_cd_unsorted, ab_cd, ab_cd};
+
+  ModuleSpec spec;
+  spec.name = "checkpoint-test";
+  spec.params = ScaledParams();
+  for (int i = 0; i < 5; ++i) {
+    spec.tests.push_back(TestCase{"t" + std::to_string(i), false, {}, [](TestContext&) {}});
+  }
+  ModuleRunner runner(ScaledConfig());
+  std::vector<std::pair<int, TrapFile>> calls;
+  runner.set_checkpoint_hook(
+      [&calls](int index, const TrapFile& traps) { calls.emplace_back(index, traps); });
+  const SingleRun run = runner.RunOnce(
+      spec,
+      [&script](const Config&) { return std::make_unique<ScriptedExportDetector>(script); },
+      TrapFile{}, /*salt=*/0);
+
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0].first, 1);
+  EXPECT_EQ(calls[0].second.pairs, ab.pairs);
+  EXPECT_EQ(calls[1].first, 3);
+  EXPECT_EQ(calls[1].second.pairs, ab_cd.pairs);
+  EXPECT_EQ(calls.back().second.pairs, run.traps.pairs);
 }
 
 TEST(RunnerTest, ExperimentAggregationMatchesModuleResults) {
